@@ -4,6 +4,9 @@
 // graphs, AMG-PCG for large original meshes).
 #include <benchmark/benchmark.h>
 
+#include <utility>
+#include <vector>
+
 #include "sgl.hpp"
 
 namespace {
@@ -63,6 +66,25 @@ BENCHMARK(BM_CholeskyFactorUltraSparse)
     ->Arg(64)
     ->Arg(128)
     ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
+
+// Ordering alone (no factorization) on the meshes a serve cache fill
+// orders: quotient-graph AMD against level-set nested dissection.
+void BM_OrderingGrid(benchmark::State& state) {
+  const auto ordering = static_cast<solver::OrderingMethod>(state.range(0));
+  const la::CsrMatrix a = mesh_matrix(static_cast<Index>(state.range(1)));
+  std::vector<Index> perm;
+  for (auto _ : state) {
+    perm = solver::compute_ordering(a, ordering);
+    benchmark::DoNotOptimize(perm.data());
+  }
+  state.counters["factor_nnz"] = static_cast<double>(
+      solver::CholeskySolver(a, std::move(perm), 1).stats().factor_nnz);
+}
+BENCHMARK(BM_OrderingGrid)
+    ->ArgsProduct({{static_cast<int>(solver::OrderingMethod::kMinimumDegree),
+                    static_cast<int>(solver::OrderingMethod::kNestedDissection)},
+                   {128, 256}})
     ->Unit(benchmark::kMillisecond);
 
 // --- Supernodal dense-panel kernels vs the PR4 scalar path ------------

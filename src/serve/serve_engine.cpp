@@ -80,58 +80,101 @@ void ServeEngine::activate(const graph::GraphKey& key) {
 
 void ServeEngine::adopt_graph(const graph::GraphKey& key, graph::Graph g) {
   const common::MutexLock lock(state_mutex_);
-  graphs_.insert_or_assign(key, std::move(g));
+  // Equal keys mean equal graphs; keeping the registered one leaves it
+  // untouched for any fill or embedding reading it unlocked.
+  graphs_.try_emplace(key, std::move(g));
   active_ = key;
 }
 
 std::shared_ptr<const solver::LaplacianPinvSolver>
 ServeEngine::acquire_solver(const std::optional<graph::GraphKey>& key_opt) {
-  const common::MutexLock lock(state_mutex_);
   graph::GraphKey key;
-  if (key_opt.has_value()) {
-    if (graphs_.find(*key_opt) == graphs_.end()) {
-      const common::MutexLock stats_lock(stats_mutex_);
-      ++stats_.errors;
-      throw SglError(ErrorCode::kBadRequest,
-                     "unknown graph key (load_graph or learn first)");
+  const graph::Graph* g = nullptr;
+  std::shared_ptr<Fill> fill;
+  {
+    const common::MutexLock lock(state_mutex_);
+    if (key_opt.has_value()) {
+      if (graphs_.find(*key_opt) == graphs_.end()) {
+        const common::MutexLock stats_lock(stats_mutex_);
+        ++stats_.errors;
+        throw SglError(ErrorCode::kBadRequest,
+                       "unknown graph key (load_graph or learn first)");
+      }
+      key = *key_opt;
+    } else {
+      if (!active_.has_value()) {
+        const common::MutexLock stats_lock(stats_mutex_);
+        ++stats_.errors;
+        throw SglError(ErrorCode::kNoActiveGraph,
+                       "no active graph: load_graph or learn first");
+      }
+      key = *active_;
     }
-    key = *key_opt;
-  } else {
-    if (!active_.has_value()) {
-      const common::MutexLock stats_lock(stats_mutex_);
-      ++stats_.errors;
-      throw SglError(ErrorCode::kNoActiveGraph,
-                     "no active graph: load_graph or learn first");
+
+    for (auto it = lru_.begin(); it != lru_.end(); ++it) {
+      if (it->first == key) {
+        lru_.splice(lru_.begin(), lru_, it);  // move to MRU position
+        const common::MutexLock stats_lock(stats_mutex_);
+        ++stats_.cache_hits;
+        return lru_.front().second;
+      }
     }
-    key = *active_;
+
+    // Another caller is already building this key: wait for its result
+    // instead of building it twice. The wait releases state_mutex_, so
+    // queries on other graphs proceed meanwhile.
+    const auto in_flight = fills_.find(key);
+    if (in_flight != fills_.end()) {
+      {
+        const common::MutexLock stats_lock(stats_mutex_);
+        ++stats_.cache_hits;
+      }
+      fill = in_flight->second;
+      while (!fill->done) fill_cv_.wait(state_mutex_);
+      if (fill->error != nullptr) std::rethrow_exception(fill->error);
+      return fill->solver;
+    }
+
+    {
+      const common::MutexLock stats_lock(stats_mutex_);
+      ++stats_.cache_misses;
+    }
+    fill = std::make_shared<Fill>();
+    fills_.emplace(key, fill);
+    // std::map nodes are pointer-stable and graphs are never erased or
+    // reassigned, so the factorization below can read g unlocked.
+    g = &graphs_.at(key);
   }
 
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-    if (it->first == key) {
-      lru_.splice(lru_.begin(), lru_, it);  // move to MRU position
-      const common::MutexLock stats_lock(stats_mutex_);
-      ++stats_.cache_hits;
-      return lru_.front().second;
-    }
-  }
-
-  // Miss: factorize the active graph, then insert at MRU, evicting from
+  // Miss: factorize outside the lock, then insert at MRU, evicting from
   // the LRU end. The evicted shared_ptr may stay alive while an
   // in-flight batch still holds it — eviction only drops the cache's
   // reference, never a solver under a live solve.
+  std::shared_ptr<const solver::LaplacianPinvSolver> solver_ptr;
+  std::exception_ptr error;
+  try {
+    solver_ptr =
+        std::make_shared<const solver::LaplacianPinvSolver>(*g, options_.solver);
+  } catch (...) {
+    error = std::current_exception();
+  }
   {
-    const common::MutexLock stats_lock(stats_mutex_);
-    ++stats_.cache_misses;
+    const common::MutexLock lock(state_mutex_);
+    fills_.erase(key);
+    fill->solver = solver_ptr;
+    fill->error = error;
+    fill->done = true;
+    if (error == nullptr) {
+      while (static_cast<Index>(lru_.size()) >= options_.cache_capacity) {
+        lru_.pop_back();
+        const common::MutexLock stats_lock(stats_mutex_);
+        ++stats_.cache_evictions;
+      }
+      lru_.emplace_front(key, solver_ptr);
+    }
   }
-  const graph::Graph& g = graphs_.at(key);
-  auto solver_ptr =
-      std::make_shared<const solver::LaplacianPinvSolver>(g, options_.solver);
-  while (static_cast<Index>(lru_.size()) >= options_.cache_capacity) {
-    lru_.pop_back();
-    const common::MutexLock stats_lock(stats_mutex_);
-    ++stats_.cache_evictions;
-  }
-  lru_.emplace_front(key, solver_ptr);
+  fill_cv_.notify_all();
+  if (error != nullptr) std::rethrow_exception(error);
   return solver_ptr;
 }
 
@@ -208,36 +251,45 @@ std::vector<Real> ServeEngine::effective_resistance_batch(
   }
   if (pairs.empty()) return {};
 
-  // The block is full by construction, so skip the combiner and run one
-  // apply_block directly. Same scatter arithmetic as the batched queue
-  // path: value_j = x_j[s] − x_j[t].
-  const Index w = static_cast<Index>(pairs.size());
-  la::MultiVector y(n, w);
-  for (Index j = 0; j < w; ++j) {
-    y(pairs[static_cast<std::size_t>(j)].first, j) = 1.0;
-    y(pairs[static_cast<std::size_t>(j)].second, j) = -1.0;
-  }
-  la::MultiVector x(n, w);
-  try {
-    solver_ptr->apply_block(std::as_const(y).view(), x.view(),
-                            options_.num_threads);
-  } catch (...) {
-    const common::MutexLock lock(stats_mutex_);
-    ++stats_.errors;
-    throw;
-  }
-  {
-    const common::MutexLock lock(stats_mutex_);
-    ++stats_.batches;
-    ++stats_.width_flushes;
-    stats_.batched_columns += w;
-    stats_.max_batch_width = std::max(stats_.max_batch_width, w);
-  }
-
+  // The blocks are full by construction, so skip the combiner and run
+  // apply_block directly, in chunks of at most batch_width columns: that
+  // bounds the per-request scratch however many pairs arrive, and since
+  // columns never interact the answers are bitwise those of one block.
+  // Same scatter arithmetic as the batched queue path:
+  // value_j = x_j[s] − x_j[t].
+  const Index total = static_cast<Index>(pairs.size());
+  const Index width = std::min(total, options_.batch_width);
+  la::MultiVector y(n, width);
+  la::MultiVector x(n, width);
   std::vector<Real> values(pairs.size());
-  for (Index j = 0; j < w; ++j) {
-    const auto& [s, t] = pairs[static_cast<std::size_t>(j)];
-    values[static_cast<std::size_t>(j)] = x(s, j) - x(t, j);
+  for (Index c0 = 0; c0 < total; c0 += width) {
+    const Index w = std::min(width, total - c0);
+    for (Index j = 0; j < w; ++j) {
+      const auto& [s, t] = pairs[static_cast<std::size_t>(c0 + j)];
+      y(s, j) = 1.0;
+      y(t, j) = -1.0;
+    }
+    try {
+      solver_ptr->apply_block(std::as_const(y).block(0, w), x.block(0, w),
+                              options_.num_threads);
+    } catch (...) {
+      const common::MutexLock lock(stats_mutex_);
+      ++stats_.errors;
+      throw;
+    }
+    {
+      const common::MutexLock lock(stats_mutex_);
+      ++stats_.batches;
+      ++stats_.width_flushes;
+      stats_.batched_columns += w;
+      stats_.max_batch_width = std::max(stats_.max_batch_width, w);
+    }
+    for (Index j = 0; j < w; ++j) {
+      const auto& [s, t] = pairs[static_cast<std::size_t>(c0 + j)];
+      values[static_cast<std::size_t>(c0 + j)] = x(s, j) - x(t, j);
+      y(s, j) = 0.0;
+      y(t, j) = 0.0;
+    }
   }
   return values;
 }

@@ -82,6 +82,8 @@ struct ServeStats {
   /// Batches re-run column-by-column after a NumericalError, isolating
   /// the failing request so its neighbors still get their answers.
   Index serial_fallbacks = 0;
+  /// Includes callers that waited on another caller's in-flight fill of
+  /// the same graph; cache_misses counts factorizations started.
   Index cache_hits = 0;
   Index cache_misses = 0;
   Index cache_evictions = 0;
@@ -143,9 +145,11 @@ class ServeEngine {
       Index s, Index t,
       const std::optional<graph::GraphKey>& key = std::nullopt);
 
-  /// Answers many resistance queries in ONE apply_block without waiting
-  /// on the combiner (the block is already full by construction). The
-  /// wire protocol's array form and the throughput benchmark use this.
+  /// Answers many resistance queries without waiting on the combiner:
+  /// apply_block runs directly over chunks of at most batch_width pairs
+  /// (bitwise the answers of one block; the chunking bounds scratch).
+  /// The wire protocol's array form and the throughput benchmark use
+  /// this.
   [[nodiscard]] std::vector<Real> effective_resistance_batch(
       const std::vector<std::pair<Index, Index>>& pairs,
       const std::optional<graph::GraphKey>& key = std::nullopt);
@@ -180,6 +184,16 @@ class ServeEngine {
     std::exception_ptr error;
   };
 
+  /// One factorization being built outside state_mutex_. Callers that
+  /// miss on the same key meanwhile wait for it on fill_cv_ instead of
+  /// building it again (single flight). Fields are written once, under
+  /// state_mutex_, before `done` flips.
+  struct Fill {
+    std::shared_ptr<const solver::LaplacianPinvSolver> solver;
+    std::exception_ptr error;
+    bool done = false;
+  };
+
   /// Key plus the shared factorization. shared_ptr, so a batch holding
   /// a solver keeps it alive across an eviction happening mid-flight.
   using CacheEntry =
@@ -192,7 +206,10 @@ class ServeEngine {
       SGL_EXCLUDES(state_mutex_);
 
   /// Returns the factorization of `key` (or of the active graph when
-  /// nullopt), building (and LRU-inserting/evicting) on a miss.
+  /// nullopt). A miss builds it with no lock held — queries on other
+  /// graphs never wait behind it — then LRU-inserts/evicts under
+  /// state_mutex_; a caller that finds the key in flight waits for that
+  /// build and counts as a hit.
   [[nodiscard]] std::shared_ptr<const solver::LaplacianPinvSolver>
   acquire_solver(const std::optional<graph::GraphKey>& key)
       SGL_EXCLUDES(state_mutex_);
@@ -221,6 +238,11 @@ class ServeEngine {
   /// Factorization LRU: front = most recent. Linear scan — capacities
   /// are single digits.
   std::list<CacheEntry> lru_ SGL_GUARDED_BY(state_mutex_);
+  /// Factorizations being built, by key (at most one per key).
+  std::map<graph::GraphKey, std::shared_ptr<Fill>> fills_
+      SGL_GUARDED_BY(state_mutex_);
+  /// Signalled (under no lock) whenever a fill completes.
+  std::condition_variable_any fill_cv_;
   /// Embedding cache for the (single) most recently embedded graph.
   std::optional<std::pair<graph::GraphKey, spectral::Embedding>>
       embedding_cache_ SGL_GUARDED_BY(state_mutex_);

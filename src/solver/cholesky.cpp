@@ -13,10 +13,13 @@ namespace sgl::solver {
 
 namespace {
 
-/// Matrix size below which the numeric phase and the block sweeps stay
-/// serial: pool dispatch costs more than the work. Scheduling-only — the
-/// values are identical either way.
-constexpr Index kSerialCols = 256;
+/// Work below which a level set (or an O(n) pass of the block sweeps)
+/// runs inline on the calling thread: waking the pool costs more than
+/// such a level, and a near-tree factor has hundreds of them. A unit is
+/// about one multiply-add: factor entries times right-hand sides in the
+/// sweeps, left-looking updates in the numeric phase. Scheduling only —
+/// the values are identical either way.
+constexpr std::int64_t kParallelWork = 32768;
 
 // Relative floor for downdated pivots: a downdate to an exactly singular
 // matrix rounds the pivot to ~machine-epsilon × its old value, which can
@@ -200,6 +203,33 @@ void CholeskySolver::analyze(const la::CsrMatrix& pa) {
                  level_ptr_[static_cast<std::size_t>(l) + 1] -
                      level_ptr_[static_cast<std::size_t>(l)]);
   }
+  // Per-level work, which decides inline vs pool. Sweeps: columns plus
+  // factor entries, per right-hand side. Numeric phase: left-looking
+  // multiply-adds — column j takes from each updater k the part of
+  // column k at and below row j.
+  sweep_work_.assign(static_cast<std::size_t>(num_levels), 0);
+  factor_work_.assign(static_cast<std::size_t>(num_levels), 0);
+  for (Index j = 0; j < n_; ++j) {
+    const auto l = static_cast<std::size_t>(
+        level[static_cast<std::size_t>(super_of[static_cast<std::size_t>(j)])]);
+    const Index col = 1 + l_col_ptr_[static_cast<std::size_t>(j) + 1] -
+                      l_col_ptr_[static_cast<std::size_t>(j)];
+    sweep_work_[l] += col;
+    factor_work_[l] += col;
+    for (Index q = r_row_ptr_[static_cast<std::size_t>(j)];
+         q < r_row_ptr_[static_cast<std::size_t>(j) + 1]; ++q) {
+      const Index k = r_col_idx_[static_cast<std::size_t>(q)];
+      factor_work_[l] += l_col_ptr_[static_cast<std::size_t>(k) + 1] -
+                         r_val_pos_[static_cast<std::size_t>(q)];
+    }
+  }
+  stats_.pool_levels = 0;
+  for (Index l = 0; l < num_levels; ++l) {
+    const Index blocks = level_ptr_[static_cast<std::size_t>(l) + 1] -
+                         level_ptr_[static_cast<std::size_t>(l)];
+    const std::int64_t work = factor_work_[static_cast<std::size_t>(l)];
+    if (blocks > 1 && work >= kParallelWork) ++stats_.pool_levels;
+  }
   level_supers_.resize(static_cast<std::size_t>(nsuper));
   std::vector<Index> level_next(level_ptr_.begin(), level_ptr_.end() - 1);
   for (Index s = 0; s < nsuper; ++s) {
@@ -372,7 +402,7 @@ void CholeskySolver::run_numeric_phase(const la::CsrMatrix& pa,
   d_.assign(un, 0.0);
 
   const Index threads =
-      n_ < kSerialCols ? 1 : parallel::resolve_num_threads(num_threads);
+      stats_.pool_levels > 0 ? parallel::resolve_num_threads(num_threads) : 1;
   // One workspace per worker slot; each task leaves its scratch zeroed /
   // reset, so any slot can pick up any supernode.
   std::vector<PanelWorkspace> scratch(static_cast<std::size_t>(threads));
@@ -421,7 +451,8 @@ void CholeskySolver::run_numeric_phase(const la::CsrMatrix& pa,
         }
       }
     };
-    if (threads == 1 || hi - lo == 1) {
+    if (threads == 1 || hi - lo == 1 ||
+        factor_work_[static_cast<std::size_t>(l)] < kParallelWork) {
       run_supers(lo, hi, 0);
     } else {
       parallel::parallel_for_slots(lo, hi, threads, run_supers);
@@ -940,8 +971,12 @@ void CholeskySolver::solve_block_tile(la::BlockView x, Index col0,
   // needed, so a short fixed distance hides most of the L2 latency of
   // the scattered strip loads without thrashing L1.
   constexpr Index kPrefetchAhead = 8;
-  const Index threads =
-      n_ < kSerialCols ? 1 : parallel::resolve_num_threads(num_threads);
+  const Index threads = parallel::resolve_num_threads(num_threads);
+  // Levels (and the O(n) passes) below the cutoff run inline.
+  const auto inline_work = [](std::int64_t work) {
+    return work * TILE < kParallelWork;
+  };
+  const Index pass_threads = inline_work(n_) ? 1 : threads;
   const bool panels = kernel_ == FactorKernel::kSupernodal;
   // Last valid slot of the gather index arrays (r_col_idx_ and
   // l_row_idx_ are both factor_nnz long): prefetch indices are clamped
@@ -954,7 +989,7 @@ void CholeskySolver::solve_block_tile(la::BlockView x, Index col0,
   // factor entry touches one strip; the compile-time tile width keeps the
   // strip updates in registers and vectorized.
   w.resize(static_cast<std::size_t>(n_) * sb);
-  parallel::parallel_for(0, n_, threads, [&](Index i) {
+  parallel::parallel_for(0, n_, pass_threads, [&](Index i) {
     Real* dst = w.data() + static_cast<std::size_t>(i) * sb;
     const Index src = perm_[static_cast<std::size_t>(i)];
     for (int c = 0; c < TILE; ++c) dst[c] = x.at(src, col0 + c);
@@ -1043,7 +1078,8 @@ void CholeskySolver::solve_block_tile(la::BlockView x, Index col0,
         }
       }
     };
-    if (threads == 1 || hi - lo == 1) {
+    if (threads == 1 || hi - lo == 1 ||
+        inline_work(sweep_work_[static_cast<std::size_t>(l)])) {
       sweep(lo, hi, 0);
     } else {
       parallel::parallel_for_slots(lo, hi, threads, sweep);
@@ -1052,7 +1088,7 @@ void CholeskySolver::solve_block_tile(la::BlockView x, Index col0,
 
   // Diagonal: D Z = Y. Divides (not multiply-by-reciprocal) to stay
   // bitwise equal to the scalar path.
-  parallel::parallel_for(0, n_, threads, [&](Index i) {
+  parallel::parallel_for(0, n_, pass_threads, [&](Index i) {
     Real* wi = w.data() + static_cast<std::size_t>(i) * sb;
     const Real dv = d_[static_cast<std::size_t>(i)];
     for (int c = 0; c < TILE; ++c) wi[c] /= dv;
@@ -1133,14 +1169,15 @@ void CholeskySolver::solve_block_tile(la::BlockView x, Index col0,
         }
       }
     };
-    if (threads == 1 || hi - lo == 1) {
+    if (threads == 1 || hi - lo == 1 ||
+        inline_work(sweep_work_[static_cast<std::size_t>(l)])) {
       sweep(lo, hi, 0);
     } else {
       parallel::parallel_for_slots(lo, hi, threads, sweep);
     }
   }
 
-  parallel::parallel_for(0, n_, threads, [&](Index i) {
+  parallel::parallel_for(0, n_, pass_threads, [&](Index i) {
     const Real* src = w.data() + static_cast<std::size_t>(i) * sb;
     const Index dst = perm_[static_cast<std::size_t>(i)];
     for (int c = 0; c < TILE; ++c) x.at(dst, col0 + c) = src[c];

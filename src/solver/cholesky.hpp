@@ -48,6 +48,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "la/dense_matrix.hpp"
@@ -81,6 +82,9 @@ struct FactorStats {
   Index num_levels = 0;
   /// Widest level (upper bound on exploitable factor/sweep parallelism).
   Index max_level_supernodes = 0;
+  /// Levels with enough numeric-phase work to go to the thread pool;
+  /// the rest factor inline on the calling thread (DESIGN.md §4).
+  Index pool_levels = 0;
   double factor_seconds = 0.0;
   /// Rank-1 update_edge() calls applied in place since construction
   /// (cumulative; a refactorize() does not reset it).
@@ -270,6 +274,11 @@ class CholeskySolver {
   std::vector<Index> super_ptr_;
   std::vector<Index> level_ptr_;
   std::vector<Index> level_supers_;
+  // Per-level work that decides inline vs pool (from analyze()): a
+  // sweep's per right-hand side (columns plus factor entries), and the
+  // numeric phase's left-looking multiply-adds.
+  std::vector<std::int64_t> sweep_work_;
+  std::vector<std::int64_t> factor_work_;
   // Fundamental panels (DESIGN.md §9): panel p = columns
   // [panel_ptr_[p], panel_ptr_[p+1]), a refinement of the chain blocks —
   // supernode s owns panels [super_panel_ptr_[s], super_panel_ptr_[s+1]).

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
+#include <cstdint>
 #include <numeric>
-#include <queue>
 
 #include "common/contracts.hpp"
 #include "common/enum_names.hpp"
@@ -128,59 +129,354 @@ std::vector<Index> rcm_ordering(const la::CsrMatrix& a) {
   return perm;
 }
 
+namespace {
+
+/// elen of a node that left the variable set as a pivot (an element).
+constexpr Index kElement = -1;
+/// elen of a node that left it any other way: merged into a
+/// supervariable, mass-eliminated with a pivot, or set aside as dense.
+constexpr Index kAbsorbed = -2;
+
+/// Approximate minimum degree on the quotient graph (Amestoy, Davis &
+/// Duff, SIAM J. Matrix Anal. Appl. 17(4), 1996). Eliminated pivots stay
+/// in the graph as elements (the cliques their elimination created), so
+/// the graph never grows past the input; `adj[i]` of a variable holds its
+/// elements (the first elen[i] entries) then its variables, and `adj[e]`
+/// of a live element its variables Le. Each step:
+///   1. takes the variable of least approximate degree (ties: the most
+///      recently bucketed one — a pure function of the pattern);
+///   2. forms its element Lme from its elements' Le and its variables,
+///      absorbing those elements;
+///   3. counts |Le \ Lme| for every element next to Lme;
+///   4. re-scans each i in Lme: absorbs elements with Le ⊆ Lme
+///      (aggressive absorption), prunes variables that Lme now covers,
+///      mass-eliminates i if me is all it touches, and bounds its degree
+///      by n − k, d_i + |Lme \ i| and |A_i| + |Lme \ i| + Σ |Le \ Lme|;
+///   5. merges indistinguishable variables (equal lists, found by hash)
+///      into supervariables, which then move as one weighted node;
+///   6. re-buckets the surviving variables of Lme under their new degrees.
+/// Rows denser than max(16, 10√n) are set aside and ordered last, as in
+/// AMD. The output is the assembly tree's postorder, each pivot preceded
+/// by the variables eliminated with it, so chains of the elimination tree
+/// are contiguous and the factor's column blocks stay long.
+class ApproximateMinimumDegree {
+ public:
+  explicit ApproximateMinimumDegree(const Pattern& p)
+      : n_(p.n()),
+        adj_(at(n_)),
+        elen_(at(n_), 0),
+        nv_(at(n_), 1),
+        degree_(at(n_), 0),
+        parent_(at(n_), kInvalidIndex),
+        w_(at(n_), 1),
+        mark_(at(n_), 0),
+        head_(at(n_) + 1, kInvalidIndex),
+        next_(at(n_), kInvalidIndex),
+        prev_(at(n_), kInvalidIndex) {
+    const auto ten_root_n =
+        static_cast<Index>(10.0 * std::sqrt(static_cast<double>(n_)));
+    const Index dense = std::min(n_, std::max<Index>(16, ten_root_n));
+    for (Index i = 0; i < n_; ++i) {
+      if (p.degree(i) > dense) {
+        nv_[at(i)] = 0;
+        elen_[at(i)] = kAbsorbed;
+        ++num_dense_;
+      }
+    }
+    for (Index i = n_ - 1; i >= 0; --i) {
+      if (nv_[at(i)] == 0) continue;
+      auto& li = adj_[at(i)];
+      for (Index k = p.row_ptr[at(i)]; k < p.row_ptr[at(i) + 1]; ++k) {
+        const Index j = p.col[at(k)];
+        if (nv_[at(j)] != 0) li.push_back(j);
+      }
+      degree_[at(i)] = to_index(li.size());
+      bucket_insert(i);
+    }
+  }
+
+  std::vector<Index> run() {
+    const Index num_sparse = n_ - num_dense_;
+    Index eliminated = 0;
+    while (eliminated < num_sparse) {
+      while (head_[at(min_degree_)] == kInvalidIndex) ++min_degree_;
+      const Index me = head_[at(min_degree_)];
+      bucket_remove(me);
+      pivots_.push_back(me);
+      eliminated += eliminate(me, num_sparse - eliminated);
+    }
+    return postorder_permutation();
+  }
+
+ private:
+  static std::size_t at(Index i) { return static_cast<std::size_t>(i); }
+
+  void bucket_insert(Index i) {
+    const Index d = degree_[at(i)];
+    const Index h = head_[at(d)];
+    next_[at(i)] = h;
+    prev_[at(i)] = kInvalidIndex;
+    if (h != kInvalidIndex) prev_[at(h)] = i;
+    head_[at(d)] = i;
+    min_degree_ = std::min(min_degree_, d);
+  }
+
+  void bucket_remove(Index i) {
+    const Index nx = next_[at(i)];
+    const Index pv = prev_[at(i)];
+    if (nx != kInvalidIndex) prev_[at(nx)] = pv;
+    if (pv != kInvalidIndex) {
+      next_[at(pv)] = nx;
+    } else {
+      head_[at(degree_[at(i)])] = nx;
+    }
+  }
+
+  /// Absorbs node x (an element or a merged variable) into `into`.
+  void absorb(Index x, Index into) {
+    parent_[at(x)] = into;
+    std::vector<Index>().swap(adj_[at(x)]);
+  }
+
+  /// Eliminates pivot `me`; returns the weight removed from the variable
+  /// set (me's supervariable plus everything mass-eliminated with it).
+  /// `remaining` is the variable weight left before this step.
+  Index eliminate(Index me, Index remaining) {
+    Index nvpiv = nv_[at(me)];
+    nv_[at(me)] = -nvpiv;  // excluded from Lme like its members
+
+    // --- 2. Lme; members are flagged by a negated nv. --------------------
+    lme_.clear();
+    Index degme = 0;
+    const auto take = [&](Index i) {
+      const Index nvi = nv_[at(i)];
+      if (nvi <= 0) return;  // pivot, already in Lme, or non-principal
+      degme += nvi;
+      nv_[at(i)] = -nvi;
+      lme_.push_back(i);
+      bucket_remove(i);
+    };
+    auto& lst = adj_[at(me)];
+    for (Index k = 0; k < elen_[at(me)]; ++k) {
+      const Index e = lst[at(k)];
+      if (w_[at(e)] == 0) continue;
+      for (const Index i : adj_[at(e)]) take(i);
+      w_[at(e)] = 0;
+      absorb(e, me);
+    }
+    for (std::size_t k = at(elen_[at(me)]); k < lst.size(); ++k) take(lst[k]);
+    elen_[at(me)] = kElement;
+
+    // --- 3. w(e) − wflg = |Le \ Lme| for every element touching Lme. ----
+    for (const Index i : lme_) {
+      const Index nvi = -nv_[at(i)];
+      const auto& li = adj_[at(i)];
+      for (Index k = 0; k < elen_[at(i)]; ++k) {
+        std::int64_t& we = w_[at(li[at(k)])];
+        if (we >= wflg_) {
+          we -= nvi;
+        } else if (we != 0) {
+          we = degree_[at(li[at(k)])] + wflg_ - nvi;
+        }
+      }
+    }
+
+    // --- 4. Degree update, absorption, pruning, mass elimination. -------
+    hashed_.clear();
+    for (const Index i : lme_) {
+      auto& li = adj_[at(i)];
+      const Index nvi = -nv_[at(i)];
+      Index deg = 0;
+      std::uint64_t hash = 0;
+      std::size_t kept = 0;
+      for (Index k = 0; k < elen_[at(i)]; ++k) {
+        const Index e = li[at(k)];
+        const std::int64_t we = w_[at(e)];
+        if (we == 0) continue;  // absorbed
+        const auto outside = static_cast<Index>(we - wflg_);
+        if (outside > 0) {
+          deg += outside;
+          li[kept++] = e;
+          hash += static_cast<std::uint64_t>(e);
+        } else {
+          w_[at(e)] = 0;  // Le ⊆ Lme: me covers e
+          absorb(e, me);
+        }
+      }
+      const std::size_t first_var = kept;
+      for (std::size_t k = at(elen_[at(i)]); k < li.size(); ++k) {
+        const Index j = li[k];
+        const Index nvj = nv_[at(j)];
+        if (nvj <= 0) continue;  // in Lme (covered by me) or gone
+        deg += nvj;
+        li[kept++] = j;
+        hash += static_cast<std::uint64_t>(j);
+      }
+      if (first_var == 0 && kept == 0) {
+        // i touches nothing but me: indistinguishable from the pivot.
+        degme -= nvi;
+        nvpiv += nvi;
+        nv_[at(i)] = 0;
+        elen_[at(i)] = kAbsorbed;
+        absorb(i, me);
+        continue;
+      }
+      degree_[at(i)] = std::min(degree_[at(i)], deg);
+      // Prepend me: the first variable moves to the end and the first
+      // element to the end of the element run.
+      li.resize(kept + 1);
+      li[kept] = li[first_var];
+      li[first_var] = li[0];
+      li[0] = me;
+      elen_[at(i)] = to_index(first_var) + 1;
+      hashed_.emplace_back(hash, i);
+    }
+
+    // --- 5. Supervariables: equal hashes, then equal lists. -------------
+    std::sort(hashed_.begin(), hashed_.end());
+    for (std::size_t b = 0; b < hashed_.size();) {
+      std::size_t end = b + 1;
+      while (end < hashed_.size() && hashed_[end].first == hashed_[b].first)
+        ++end;
+      for (std::size_t x = b; x + 1 < end; ++x) {
+        const Index i = hashed_[x].second;
+        if (nv_[at(i)] == 0) continue;
+        const auto& li = adj_[at(i)];
+        ++stamp_;
+        for (const Index v : li) mark_[at(v)] = stamp_;
+        for (std::size_t y = x + 1; y < end; ++y) {
+          const Index j = hashed_[y].second;
+          const auto& lj = adj_[at(j)];
+          if (nv_[at(j)] == 0 || lj.size() != li.size() ||
+              elen_[at(j)] != elen_[at(i)] ||
+              !std::all_of(lj.begin(), lj.end(),
+                           [&](Index v) { return mark_[at(v)] == stamp_; }))
+            continue;
+          nv_[at(i)] += nv_[at(j)];  // both negated
+          nv_[at(j)] = 0;
+          elen_[at(j)] = kAbsorbed;
+          absorb(j, i);
+        }
+      }
+      b = end;
+    }
+
+    // --- 6. Final degrees; Lme keeps only principal variables. ----------
+    const Index left = remaining - nvpiv;
+    std::size_t kept = 0;
+    for (const Index i : lme_) {
+      const Index nvi = -nv_[at(i)];
+      if (nvi <= 0) continue;  // merged or mass-eliminated
+      nv_[at(i)] = nvi;
+      degree_[at(i)] = std::min(degree_[at(i)] + degme - nvi, left - nvi);
+      bucket_insert(i);
+      lme_[kept++] = i;
+    }
+    lme_.resize(kept);
+    adj_[at(me)].assign(lme_.begin(), lme_.end());
+    degree_[at(me)] = degme;
+    nv_[at(me)] = 0;
+    // Every w touched this step lies in [wflg, wflg + n); moving past
+    // that range retires them all without a clearing pass.
+    wflg_ += n_ + 1;
+    return nvpiv;
+  }
+
+  /// Postorder of the assembly tree (pivots, parent = absorbing element;
+  /// children in elimination order), each pivot preceded by the
+  /// variables eliminated with it in ascending index; dense rows last.
+  std::vector<Index> postorder_permutation() {
+    std::vector<Index> first_child(at(n_), kInvalidIndex);
+    std::vector<Index> sibling(at(n_), kInvalidIndex);
+    for (auto it = pivots_.rbegin(); it != pivots_.rend(); ++it) {
+      const Index pe = parent_[at(*it)];
+      if (pe == kInvalidIndex) continue;
+      sibling[at(*it)] = first_child[at(pe)];
+      first_child[at(pe)] = *it;
+    }
+
+    // Every non-pivot, non-dense node follows its absorption chain to the
+    // pivot it is eliminated with; group sizes give each pivot its slots.
+    std::vector<Index> owner(at(n_), kInvalidIndex);
+    std::vector<Index> slot(at(n_), 0);
+    for (Index x = 0; x < n_; ++x) {
+      if (elen_[at(x)] == kElement || parent_[at(x)] == kInvalidIndex) continue;
+      Index e = parent_[at(x)];
+      while (elen_[at(e)] != kElement) e = parent_[at(e)];
+      for (Index y = x; elen_[at(y)] != kElement;) {  // path compression
+        const Index up = parent_[at(y)];
+        parent_[at(y)] = e;
+        y = up;
+      }
+      owner[at(x)] = e;
+      ++slot[at(e)];
+    }
+
+    Index cursor = 0;
+    std::vector<Index> stack;
+    for (const Index root : pivots_) {
+      if (parent_[at(root)] != kInvalidIndex) continue;
+      stack.push_back(root);
+      while (!stack.empty()) {
+        const Index x = stack.back();
+        const Index c = first_child[at(x)];
+        if (c != kInvalidIndex) {
+          first_child[at(x)] = sibling[at(c)];
+          stack.push_back(c);
+          continue;
+        }
+        stack.pop_back();
+        const Index group = slot[at(x)] + 1;
+        slot[at(x)] = cursor;
+        cursor += group;
+      }
+    }
+
+    std::vector<Index> perm(at(n_), kInvalidIndex);
+    for (Index x = 0; x < n_; ++x) {
+      if (owner[at(x)] == kInvalidIndex) continue;
+      perm[at(slot[at(owner[at(x)])]++)] = x;
+    }
+    for (const Index e : pivots_) perm[at(slot[at(e)])] = e;
+    for (Index x = 0; x < n_; ++x) {
+      if (elen_[at(x)] == kAbsorbed && parent_[at(x)] == kInvalidIndex)
+        perm[at(cursor++)] = x;
+    }
+    return perm;
+  }
+
+  Index n_;
+  std::vector<std::vector<Index>> adj_;
+  std::vector<Index> elen_;
+  /// Supervariable weight of a principal variable; 0 once it left the
+  /// variable set; negated while it is a member of the current Lme.
+  std::vector<Index> nv_;
+  /// Approximate external degree (variables), |Le| (elements).
+  std::vector<Index> degree_;
+  std::vector<Index> parent_;
+  /// Element liveness (0 = absorbed) and the |Le \ Lme| counters, offset
+  /// by wflg_ so that no per-step clearing is needed.
+  std::vector<std::int64_t> w_;
+  std::int64_t wflg_ = 2;
+  std::vector<std::int64_t> mark_;
+  std::int64_t stamp_ = 0;
+  // Degree buckets: doubly linked lists, inserted at the head.
+  std::vector<Index> head_;
+  std::vector<Index> next_;
+  std::vector<Index> prev_;
+  Index min_degree_ = 0;
+  Index num_dense_ = 0;
+  std::vector<Index> pivots_;
+  std::vector<Index> lme_;
+  std::vector<std::pair<std::uint64_t, Index>> hashed_;
+};
+
+}  // namespace
+
 std::vector<Index> minimum_degree_ordering(const la::CsrMatrix& a) {
   const Pattern p = strip_diagonal(a);
-  const Index n = p.n();
-
-  // Evolving elimination-graph adjacency as sorted vectors.
-  std::vector<std::vector<Index>> adj(static_cast<std::size_t>(n));
-  for (Index i = 0; i < n; ++i) {
-    adj[static_cast<std::size_t>(i)].assign(
-        p.col.begin() + p.row_ptr[static_cast<std::size_t>(i)],
-        p.col.begin() + p.row_ptr[static_cast<std::size_t>(i) + 1]);
-    std::sort(adj[static_cast<std::size_t>(i)].begin(),
-              adj[static_cast<std::size_t>(i)].end());
-  }
-
-  using Entry = std::pair<Index, Index>;  // (degree, node), lazy heap
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  std::vector<bool> eliminated(static_cast<std::size_t>(n), false);
-  for (Index i = 0; i < n; ++i)
-    heap.emplace(to_index(adj[static_cast<std::size_t>(i)].size()), i);
-
-  std::vector<Index> perm;
-  perm.reserve(static_cast<std::size_t>(n));
-  std::vector<Index> merged;
-  while (!heap.empty()) {
-    const auto [deg, v] = heap.top();
-    heap.pop();
-    if (eliminated[static_cast<std::size_t>(v)]) continue;
-    if (deg != to_index(adj[static_cast<std::size_t>(v)].size())) continue;
-
-    eliminated[static_cast<std::size_t>(v)] = true;
-    perm.push_back(v);
-    auto& nv = adj[static_cast<std::size_t>(v)];
-    // Connect the neighborhood of v into a clique; each neighbor u gets
-    // (N(v) ∪ N(u)) \ {u, v, eliminated}.
-    for (const Index u : nv) {
-      auto& nu = adj[static_cast<std::size_t>(u)];
-      merged.clear();
-      merged.reserve(nu.size() + nv.size());
-      std::set_union(nu.begin(), nu.end(), nv.begin(), nv.end(),
-                     std::back_inserter(merged));
-      merged.erase(std::remove_if(merged.begin(), merged.end(),
-                                  [&](Index x) {
-                                    return x == u || x == v ||
-                                           eliminated[static_cast<std::size_t>(x)];
-                                  }),
-                   merged.end());
-      nu.swap(merged);
-      heap.emplace(to_index(nu.size()), u);
-    }
-    nv.clear();
-    nv.shrink_to_fit();
-  }
-  SGL_ENSURES(to_index(perm.size()) == n,
+  std::vector<Index> perm = ApproximateMinimumDegree(p).run();
+  SGL_ENSURES(std::find(perm.begin(), perm.end(), kInvalidIndex) == perm.end(),
               "minimum_degree_ordering: incomplete permutation");
   return perm;
 }

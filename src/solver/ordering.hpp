@@ -3,8 +3,9 @@
 // A permutation is represented as perm[new_position] = old_index; the
 // factorization works on P A Pᵀ. Three families are provided:
 //   - RCM: bandwidth-reducing, cheap (O(|E|)), good for long thin meshes;
-//   - minimum degree: the classic greedy elimination-graph heuristic,
-//     excellent on the ultra-sparse (tree + εN) graphs SGL produces;
+//   - approximate minimum degree on the quotient graph (AMD), excellent
+//     on the ultra-sparse (tree + εN) graphs SGL produces and on meshes
+//     up to the size where nested dissection takes over;
 //   - BFS nested dissection: level-set separators, recursion; the right
 //     choice for large 2D meshes where MD's fill grows.
 #pragma once
@@ -45,7 +46,10 @@ enum class OrderingMethod {
 /// Reverse Cuthill–McKee on the symmetric pattern of a.
 [[nodiscard]] std::vector<Index> rcm_ordering(const la::CsrMatrix& a);
 
-/// Greedy minimum-degree on the elimination graph.
+/// Approximate minimum degree (Amestoy–Davis–Duff) on the quotient
+/// graph of the symmetric pattern of a (diagonal ignored): element
+/// absorption, supervariables, approximate external degrees, dense rows
+/// last, output in assembly-tree postorder. Deterministic (DESIGN.md §4).
 [[nodiscard]] std::vector<Index> minimum_degree_ordering(const la::CsrMatrix& a);
 
 /// Recursive BFS level-set nested dissection.

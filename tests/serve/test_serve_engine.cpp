@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "common/parallel.hpp"
 #include "graph/generators.hpp"
 #include "measure/measurements.hpp"
 #include "serve/serve_engine.hpp"
@@ -109,6 +110,68 @@ TEST(ServeEngine, BatchedResistanceIsBitwiseSerialAndOneApplyBlock) {
   EXPECT_EQ(serial_stats.requests, 16);
   EXPECT_EQ(serial_stats.batches, 16);
   EXPECT_EQ(serial_stats.max_batch_width, 1);
+}
+
+TEST(ServeEngine, LongBatchRunsInWidthChunksBitwiseSerial) {
+  const graph::Graph g = grid(12, 12);
+  ServeOptions serial_options;
+  serial_options.batch_width = 1;
+  ServeEngine serial(serial_options);
+  (void)serial.load_graph(g);
+
+  ServeEngine batched;  // default width 16
+  (void)batched.load_graph(g);
+
+  std::vector<std::pair<Index, Index>> pairs;
+  for (Index i = 0; i < 64; ++i) pairs.emplace_back(i, (i * 37 + 71) % 144);
+  const std::vector<Real> block = batched.effective_resistance_batch(pairs);
+  ASSERT_EQ(block.size(), pairs.size());
+  for (std::size_t j = 0; j < pairs.size(); ++j) {
+    EXPECT_EQ(block[j],
+              serial.effective_resistance(pairs[j].first, pairs[j].second))
+        << "pair " << j;
+  }
+
+  // 64 pairs ran as four width-16 blocks, never one 64-wide block.
+  const ServeStats stats = batched.stats();
+  EXPECT_EQ(stats.requests, 64);
+  EXPECT_EQ(stats.batches, 4);
+  EXPECT_EQ(stats.batched_columns, 64);
+  EXPECT_EQ(stats.max_batch_width, 16);
+
+  // A ragged tail (40 = 16 + 16 + 8) answers the same way.
+  pairs.resize(40);
+  const std::vector<Real> ragged = batched.effective_resistance_batch(pairs);
+  for (std::size_t j = 0; j < pairs.size(); ++j) EXPECT_EQ(ragged[j], block[j]);
+}
+
+TEST(ServeEngine, ConcurrentMissesOnOneKeyFactorizeOnce) {
+  const graph::Graph g = grid(48, 48);
+  ServeOptions options;
+  options.batch_width = 1;
+  // The clients below are pool workers (plus the calling thread) that
+  // wait on each other's fill; one solver thread keeps the engine from
+  // queuing pool work behind them.
+  options.num_threads = 1;
+  options.solver.num_threads = 1;
+  ServeEngine engine(options);
+  const graph::GraphKey key = engine.load_graph(g);
+
+  constexpr Index kClients = 8;
+  std::vector<Real> got(static_cast<std::size_t>(kClients), 0.0);
+  parallel::parallel_for(0, kClients, kClients, [&](Index i) {
+    got[static_cast<std::size_t>(i)] =
+        engine.effective_resistance(0, g.num_nodes() - 1, key);
+  });
+  for (const Real r : got) EXPECT_EQ(r, got.front());
+
+  // Whoever arrived during the build waited for it (a hit); whoever
+  // arrived later found it cached (a hit). Exactly one factorization.
+  const ServeStats stats = engine.stats();
+  EXPECT_EQ(stats.cache_misses, 1);
+  EXPECT_EQ(stats.cache_hits, kClients - 1);
+  EXPECT_EQ(stats.cache_evictions, 0);
+  EXPECT_EQ(stats.errors, 0);
 }
 
 TEST(ServeEngine, InvalidRequestsAreTypedBadRequest) {

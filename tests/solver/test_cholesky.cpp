@@ -202,9 +202,9 @@ INSTANTIATE_TEST_SUITE_P(Orderings, CholeskyBlockSweep,
                                            OrderingMethod::kAuto));
 
 TEST(Cholesky, SolveBlockBitIdenticalAcrossThreadCounts) {
-  // 300 nodes clears the serial-dispatch floor, so threads > 1 really
-  // schedule the level sets on the pool.
-  const la::CsrMatrix a = grounded_laplacian(graph::make_grid2d(20, 15).graph);
+  // A 48² mesh has levels whose work clears the inline cutoff, so
+  // threads > 1 really schedule level sets on the pool.
+  const la::CsrMatrix a = grounded_laplacian(graph::make_grid2d(48, 48).graph);
   const CholeskySolver solver(a, OrderingMethod::kMinimumDegree);
   const la::MultiVector b = random_block_rhs(a.rows(), 8, 77);
   const la::MultiVector serial = solver.solve_block(b, 1);
@@ -218,8 +218,9 @@ TEST(Cholesky, FactorBitIdenticalAcrossThreadCounts) {
   // The level-scheduled numeric factorization applies each column's
   // updates in a fixed order, so the factor — observed through solves —
   // must be bit-identical for every worker count.
-  const la::CsrMatrix a = grounded_laplacian(graph::make_grid2d(18, 18).graph);
+  const la::CsrMatrix a = grounded_laplacian(graph::make_grid2d(48, 48).graph);
   const CholeskySolver reference(a, OrderingMethod::kMinimumDegree, 1);
+  ASSERT_GT(reference.stats().pool_levels, 0);  // the pool really runs
   la::Vector rhs(static_cast<std::size_t>(a.rows()));
   Rng rng(88);
   for (Real& v : rhs) v = rng.normal();

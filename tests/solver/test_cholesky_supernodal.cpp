@@ -44,8 +44,9 @@ la::CsrMatrix make_matrix(MatrixFamily family) {
   switch (family) {
     case MatrixFamily::kMesh:
       // Big enough that the mesh factor's trailing blocks form wide
-      // panels and the numeric phase crosses the serial threshold.
-      return grounded_laplacian(graph::make_grid2d(20, 17).graph);
+      // panels and, under the fill-reducing orderings, some levels carry
+      // enough work to run on the pool (FactorStats::pool_levels > 0).
+      return grounded_laplacian(graph::make_grid2d(48, 40).graph);
     case MatrixFamily::kPath: {
       // A path graph factors tridiagonally: one long chain supernode
       // whose panels are all width 1 — the case that makes the

@@ -6,10 +6,12 @@
 // the same request — the combiner may change BATCH COMPOSITION, never
 // bytes. Also covered: LRU eviction/refill under concurrency and the
 // typed-error round trip (a bad request fails alone; batchmates still
-// get their answers).
+// get their answers), and a cache fill that never blocks queries on
+// other, already cached graphs.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <utility>
 #include <vector>
 
@@ -191,6 +193,55 @@ TEST(ServeStress, LruEvictionAndRefillUnderConcurrency) {
   EXPECT_EQ(stats.errors, 0);
   EXPECT_GE(stats.cache_evictions, 1);  // 3 graphs through 2 slots
   EXPECT_EQ(stats.cache_misses, stats.cache_evictions + 2);
+}
+
+TEST(ServeStress, CacheFillDoesNotBlockHitsOnOtherGraphs) {
+  // One solver thread, as sgl_serve runs in the benchmark: the two
+  // clients below are the only threads doing work.
+  ServeOptions options;
+  options.num_threads = 1;
+  options.solver.num_threads = 1;
+  ServeEngine engine(options);
+  const graph::Graph big = grid(256, 256);
+  const graph::GraphKey small_key = engine.load_graph(grid(8, 8));
+  const Real small_expected = engine.effective_resistance(0, 63);  // miss 1
+  const graph::GraphKey big_key = engine.load_graph(big);
+
+  using Clock = std::chrono::steady_clock;
+  std::atomic<bool> watcher_ready{false};
+  std::atomic<bool> fill_done{false};
+  double fill_seconds = 0.0;
+  double hit_seconds = 0.0;
+  bool hit_during_fill = false;
+  Real small_got = 0.0;
+  // Index 0 runs the 256² fill; index 1 waits for that fill to start
+  // (its cache miss), then times a hit on the small graph. Index 0 waits
+  // for index 1 to be running, so the two always overlap.
+  parallel::parallel_for(0, 2, 2, [&](Index i) {
+    if (i == 0) {
+      while (!watcher_ready.load()) {
+      }
+      const auto t0 = Clock::now();
+      (void)engine.effective_resistance(0, big.num_nodes() - 1, big_key);
+      fill_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+      fill_done.store(true);
+      return;
+    }
+    watcher_ready.store(true);
+    while (engine.stats().cache_misses < 2) {
+    }
+    const auto t0 = Clock::now();
+    small_got = engine.effective_resistance(0, 63, small_key);
+    hit_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+    hit_during_fill = !fill_done.load();
+  });
+
+  EXPECT_EQ(small_got, small_expected);
+  EXPECT_TRUE(hit_during_fill);
+  EXPECT_LT(hit_seconds, fill_seconds / 4) << "fill " << fill_seconds << " s";
+  const ServeStats stats = engine.stats();
+  EXPECT_EQ(stats.cache_misses, 2);
+  EXPECT_EQ(stats.cache_hits, 1);
 }
 
 }  // namespace
