@@ -16,6 +16,26 @@ la::DenseMatrix random_points(Index n, Index dim, std::uint64_t seed) {
   return x;
 }
 
+void BM_PointDistance(benchmark::State& state) {
+  // The fixed-lane distance kernel every kNN path runs (brute force, HNSW
+  // build and search, connectivity repair). Dims: 20 (short rows), 100
+  // (the end-to-end benchmark's measurement count: 12 full 8-lane blocks
+  // and a 4-dim tail) and 101 (a 5-dim tail). Pairs walk a 1024-point
+  // set, so the rows stay cache-resident as in a beam search.
+  const Index dim = static_cast<Index>(state.range(0));
+  constexpr Index kPoints = 1024;
+  const std::vector<Real> data =
+      knn::to_row_major(random_points(kPoints, dim, 11));
+  Index a = 0;
+  for (auto _ : state) {
+    for (Index b = 0; b < kPoints; ++b)
+      benchmark::DoNotOptimize(knn::point_distance_squared(data, dim, a, b));
+    a = (a + 1) % kPoints;
+  }
+  state.SetItemsProcessed(state.iterations() * kPoints);
+}
+BENCHMARK(BM_PointDistance)->Arg(20)->Arg(100)->Arg(101);
+
 void BM_BruteForceKnn(benchmark::State& state) {
   const Index n = static_cast<Index>(state.range(0));
   const la::DenseMatrix x = random_points(n, 50, 3);

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
-#include <queue>
 
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
@@ -75,56 +75,70 @@ Index HnswIndex::greedy_closest(Index query, Index start, Index level) const {
   return current;
 }
 
-std::vector<HnswIndex::SearchCandidate> HnswIndex::search_layer(
+std::vector<HnswIndex::SearchCandidate>& HnswIndex::search_layer(
     Index query, Index start, Index ef, Index level,
     SearchScratch& scratch) const {
   ++scratch.visit_epoch;
   // Min-heap of frontier candidates; max-heap of current best ef results.
-  std::priority_queue<SearchCandidate, std::vector<SearchCandidate>,
-                      std::greater<>>
-      frontier;
-  std::priority_queue<SearchCandidate> best;
+  // The heap operations are exactly std::priority_queue's (push_heap /
+  // pop_heap over a vector with the same comparators), so the traversal
+  // and the result order match a queue-based search bit for bit.
+  std::vector<SearchCandidate>& frontier = scratch.frontier;
+  std::vector<SearchCandidate>& best = scratch.best;
+  frontier.clear();
+  best.clear();
+  const auto frontier_push = [&](SearchCandidate c) {
+    frontier.push_back(c);
+    std::push_heap(frontier.begin(), frontier.end(), std::greater<>{});
+  };
+  const auto best_push = [&](SearchCandidate c) {
+    best.push_back(c);
+    std::push_heap(best.begin(), best.end(), std::less<>{});
+  };
+  const auto best_pop = [&] {
+    std::pop_heap(best.begin(), best.end(), std::less<>{});
+    best.pop_back();
+  };
 
   const Real d0 = distance(query, start);
-  frontier.push({d0, start});
-  best.push({d0, start});
+  frontier_push({d0, start});
+  best_push({d0, start});
   scratch.visit_mark[static_cast<std::size_t>(start)] = scratch.visit_epoch;
 
   while (!frontier.empty()) {
-    const SearchCandidate candidate = frontier.top();
-    if (candidate.distance > best.top().distance &&
+    const SearchCandidate candidate = frontier.front();
+    if (candidate.distance > best.front().distance &&
         to_index(best.size()) >= ef)
       break;
-    frontier.pop();
+    std::pop_heap(frontier.begin(), frontier.end(), std::greater<>{});
+    frontier.pop_back();
     for (const Index nb : neighbors(candidate.node, level)) {
       if (scratch.visit_mark[static_cast<std::size_t>(nb)] ==
           scratch.visit_epoch)
         continue;
       scratch.visit_mark[static_cast<std::size_t>(nb)] = scratch.visit_epoch;
       const Real d = distance(query, nb);
-      if (to_index(best.size()) < ef || d < best.top().distance) {
-        frontier.push({d, nb});
-        best.push({d, nb});
-        if (to_index(best.size()) > ef) best.pop();
+      if (to_index(best.size()) < ef || d < best.front().distance) {
+        frontier_push({d, nb});
+        best_push({d, nb});
+        if (to_index(best.size()) > ef) best_pop();
       }
     }
   }
 
-  std::vector<SearchCandidate> out;
-  out.reserve(best.size());
+  std::vector<SearchCandidate>& out = scratch.result;
+  out.clear();
   while (!best.empty()) {
-    out.push_back(best.top());
-    best.pop();
+    out.push_back(best.front());
+    best_pop();
   }
   return out;  // descending distance; callers sort as needed
 }
 
-std::vector<Index> HnswIndex::select_neighbors(
-    [[maybe_unused]] Index query, std::vector<SearchCandidate> candidates,
-    Index m) const {
+void HnswIndex::select_neighbors(std::vector<SearchCandidate>& candidates,
+                                 Index m, std::vector<Index>& selected) const {
   std::sort(candidates.begin(), candidates.end());
-  std::vector<Index> selected;
-  selected.reserve(static_cast<std::size_t>(m));
+  selected.clear();
   // Diversity heuristic: keep a candidate only if it is closer to the
   // query than to every neighbor kept so far.
   for (const SearchCandidate& c : candidates) {
@@ -147,7 +161,19 @@ std::vector<Index> HnswIndex::select_neighbors(
         selected.push_back(c.node);
     }
   }
-  return selected;
+}
+
+void HnswIndex::add_backlink(Index nb, Index node, Index level, Index m_max,
+                             SearchScratch& scratch) {
+  auto& back =
+      links_[static_cast<std::size_t>(nb)][static_cast<std::size_t>(level)];
+  back.push_back(node);
+  if (to_index(back.size()) <= m_max) return;
+  // Re-select to shrink the over-full list.
+  std::vector<SearchCandidate>& all = scratch.shrink;
+  all.clear();
+  for (const Index x : back) all.push_back({distance(nb, x), x});
+  select_neighbors(all, m_max, back);
 }
 
 void HnswIndex::insert(Index node, SearchScratch& scratch) {
@@ -168,29 +194,20 @@ void HnswIndex::insert(Index node, SearchScratch& scratch) {
 
   // Phase 2: beam search + linking from min(level, max_level_) down to 0.
   for (Index l = std::min(level, max_level_); l >= 0; --l) {
-    std::vector<SearchCandidate> candidates =
+    // The candidates live in scratch.result until the next search; the
+    // backlink shrinks below use their own buffer.
+    std::vector<SearchCandidate>& candidates =
         search_layer(node, current, options_.ef_construction, l, scratch);
+    // Closest candidate (first in search order) seeds the next (lower)
+    // layer's search; take it before selection sorts the candidates.
+    if (!candidates.empty())
+      current = std::min_element(candidates.begin(), candidates.end())->node;
     const Index m_max =
         (l == 0) ? 2 * options_.max_connections : options_.max_connections;
-    std::vector<Index> chosen =
-        select_neighbors(node, candidates, options_.max_connections);
-
-    links_[static_cast<std::size_t>(node)][static_cast<std::size_t>(l)] = chosen;
-    for (const Index nb : chosen) {
-      auto& back = links_[static_cast<std::size_t>(nb)][static_cast<std::size_t>(l)];
-      back.push_back(node);
-      if (to_index(back.size()) > m_max) {
-        // Re-select to shrink the over-full list.
-        std::vector<SearchCandidate> all;
-        all.reserve(back.size());
-        for (const Index x : back) all.push_back({distance(nb, x), x});
-        back = select_neighbors(nb, std::move(all), m_max);
-      }
-    }
-    if (!candidates.empty()) {
-      // Closest candidate seeds the next (lower) layer's search.
-      current = std::min_element(candidates.begin(), candidates.end())->node;
-    }
+    std::vector<Index>& chosen =
+        links_[static_cast<std::size_t>(node)][static_cast<std::size_t>(l)];
+    select_neighbors(candidates, options_.max_connections, chosen);
+    for (const Index nb : chosen) add_backlink(nb, node, l, m_max, scratch);
   }
 
   if (level > max_level_) {
@@ -201,25 +218,26 @@ void HnswIndex::insert(Index node, SearchScratch& scratch) {
 
 void HnswIndex::speculate(Index node, Index snap_entry, Index snap_max,
                           SearchScratch& scratch, Speculation& spec) const {
-  // The exact search phases of insert(), run against the frozen
-  // start-of-generation graph: generation members are absent from every
-  // frozen adjacency list, so the traversal only sees committed nodes
-  // and is independent of the worker count and of how the generation is
-  // sliced across workers.
+  // The search and forward-selection phases of insert(), run against the
+  // frozen start-of-generation graph: generation members are absent from
+  // every frozen adjacency list, so the traversal only sees committed
+  // nodes and is independent of the worker count and of how the
+  // generation is sliced across workers. Forward selection reads only
+  // the candidates and point coordinates, so it belongs here too.
   const Index level = node_level_[static_cast<std::size_t>(node)];
   Index current = snap_entry;
   for (Index l = snap_max; l > level; --l)
     current = greedy_closest(node, current, l);
 
   const Index lmin = std::min(level, snap_max);
-  spec.layers.resize(static_cast<std::size_t>(lmin) + 1);
+  spec.chosen.resize(static_cast<std::size_t>(lmin) + 1);
   for (Index l = lmin; l >= 0; --l) {
-    spec.layers[static_cast<std::size_t>(l)] =
+    std::vector<SearchCandidate>& candidates =
         search_layer(node, current, options_.ef_construction, l, scratch);
-    const auto& candidates = spec.layers[static_cast<std::size_t>(l)];
-    if (!candidates.empty()) {
+    if (!candidates.empty())
       current = std::min_element(candidates.begin(), candidates.end())->node;
-    }
+    select_neighbors(candidates, options_.max_connections,
+                     spec.chosen[static_cast<std::size_t>(l)]);
   }
   spec.has = true;
 }
@@ -235,32 +253,20 @@ void HnswIndex::commit(Index node, Index snap_max, const Speculation& spec,
     return;
   }
 
-  // The link phase of insert() driven by the recorded candidates.
-  // Neighbor selection depends only on point distances, and backlink
-  // shrinking only on the live lists commits maintain serially — both
-  // pure functions of the commit order, which is the index order.
+  // The link phase of insert() driven by the recorded forward lists.
+  // Backlink shrinking depends only on the live lists commits maintain
+  // serially — a pure function of the commit order, which is the index
+  // order.
   const Index level = node_level_[static_cast<std::size_t>(node)];
   links_[static_cast<std::size_t>(node)].assign(
       static_cast<std::size_t>(level) + 1, {});
   for (Index l = std::min(level, snap_max); l >= 0; --l) {
     const Index m_max =
         (l == 0) ? 2 * options_.max_connections : options_.max_connections;
-    std::vector<Index> chosen = select_neighbors(
-        node, spec.layers[static_cast<std::size_t>(l)],
-        options_.max_connections);
+    const std::vector<Index>& chosen = spec.chosen[static_cast<std::size_t>(l)];
     links_[static_cast<std::size_t>(node)][static_cast<std::size_t>(l)] =
         chosen;
-    for (const Index nb : chosen) {
-      auto& back =
-          links_[static_cast<std::size_t>(nb)][static_cast<std::size_t>(l)];
-      back.push_back(node);
-      if (to_index(back.size()) > m_max) {
-        std::vector<SearchCandidate> all;
-        all.reserve(back.size());
-        for (const Index x : back) all.push_back({distance(nb, x), x});
-        back = select_neighbors(nb, std::move(all), m_max);
-      }
-    }
+    for (const Index nb : chosen) add_backlink(nb, node, l, m_max, scratch);
   }
   if (level > max_level_) {
     max_level_ = level;
@@ -333,7 +339,7 @@ std::vector<std::pair<Real, Index>> HnswIndex::search_point(
     current = greedy_closest(query, current, l);
 
   const Index ef = std::max(options_.ef_search, k + 1);
-  std::vector<SearchCandidate> found =
+  std::vector<SearchCandidate>& found =
       search_layer(query, current, ef, 0, scratch);
   std::sort(found.begin(), found.end());
 

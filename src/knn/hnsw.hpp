@@ -8,13 +8,14 @@
 //
 // Construction is generation-batched (DESIGN.md §9): points are
 // partitioned into generations by insertion order (a pure function of N
-// alone); a generation's candidate searches run on the pool against the
-// frozen previous-generation graph (per-worker scratch), then links are
-// committed serially in index order. Because the generation schedule,
-// the frozen-graph searches, and the commit order never depend on the
-// worker count, the constructed graph is bitwise-identical — edge for
-// edge — for every thread count, including 1. Level draws are a pure
-// function of the point index and the seed (precomputed in one pass).
+// alone); a generation's candidate searches and forward neighbor
+// selections run on the pool against the frozen previous-generation
+// graph (per-worker scratch), then backlinks are committed serially in
+// index order. Because the generation schedule, the frozen-graph
+// searches, and the commit order never depend on the worker count, the
+// constructed graph is bitwise-identical — edge for edge — for every
+// thread count, including 1. Level draws are a pure function of the
+// point index and the seed (precomputed in one pass).
 #pragma once
 
 #include <cstdint>
@@ -112,11 +113,21 @@ class HnswIndex {
   struct SearchScratch {
     std::vector<Index> visit_mark;  // last epoch each node was visited in
     Index visit_epoch = 0;
+    // search_layer's working set, kept across searches so a search does
+    // not allocate: the frontier min-heap, the best-ef max-heap, and the
+    // result buffer search_layer returns a reference to.
+    std::vector<SearchCandidate> frontier;
+    std::vector<SearchCandidate> best;
+    std::vector<SearchCandidate> result;
+    /// Candidate list of a backlink shrink (commit/insert only).
+    std::vector<SearchCandidate> shrink;
   };
 
   /// Fresh scratch sized for this index (all marks unvisited).
   [[nodiscard]] SearchScratch make_search_scratch() const {
-    return {std::vector<Index>(static_cast<std::size_t>(num_points_), -1), 0};
+    SearchScratch scratch;
+    scratch.visit_mark.assign(static_cast<std::size_t>(num_points_), -1);
+    return scratch;
   }
 
   [[nodiscard]] Real distance(Index a, Index b) const {
@@ -133,9 +144,10 @@ class HnswIndex {
   [[nodiscard]] Index greedy_closest(Index query, Index start,
                                      Index level) const;
 
-  /// Beam search at one level; returns up to `ef` closest candidates
-  /// (max-heap order not guaranteed). Mutates only `scratch`.
-  [[nodiscard]] std::vector<SearchCandidate> search_layer(
+  /// Beam search at one level; returns up to `ef` closest candidates in
+  /// descending distance. The result lives in `scratch.result` (valid
+  /// until the next search on the same scratch); mutates only `scratch`.
+  [[nodiscard]] std::vector<SearchCandidate>& search_layer(
       Index query, Index start, Index ef, Index level,
       SearchScratch& scratch) const;
 
@@ -144,16 +156,22 @@ class HnswIndex {
       Index query, Index k, SearchScratch& scratch) const;
 
   /// Neighbor-selection heuristic (keep candidates closer to the query
-  /// than to any already-kept neighbor).
-  [[nodiscard]] std::vector<Index> select_neighbors(
-      Index query, std::vector<SearchCandidate> candidates, Index m) const;
+  /// than to any already-kept neighbor): sorts `candidates` in place and
+  /// writes up to `m` chosen nodes into `selected`.
+  void select_neighbors(std::vector<SearchCandidate>& candidates, Index m,
+                        std::vector<Index>& selected) const;
 
-  /// One batched insert: the candidate sets of the link phase, computed
-  /// against the frozen start-of-generation graph.
+  /// Appends `node` to `nb`'s list at `level`, re-selecting the list down
+  /// to `m_max` when it overflows (the backlink half of linking).
+  void add_backlink(Index nb, Index node, Index level, Index m_max,
+                    SearchScratch& scratch) SGL_REQUIRES(build_mutex_);
+
+  /// One batched insert: the forward neighbor lists of the link phase,
+  /// searched and selected against the frozen start-of-generation graph.
   struct Speculation {
-    /// layers[l] = search_layer result for layer l (0..min(level, the
-    /// frozen max level)).
-    std::vector<std::vector<SearchCandidate>> layers;
+    /// chosen[l] = select_neighbors over the layer-l search result
+    /// (l = 0..min(level, the frozen max level)).
+    std::vector<std::vector<Index>> chosen;
     bool has = false;  // batched search ran (graph was non-empty)
   };
 
@@ -169,17 +187,18 @@ class HnswIndex {
   /// Live-inserts `node` into the current graph (level already drawn in
   /// node_level_).
   void insert(Index node, SearchScratch& scratch) SGL_REQUIRES(build_mutex_);
-  /// Runs `node`'s candidate searches against the frozen graph into
-  /// `spec` (the generation-batched search phase).
+  /// Runs `node`'s candidate searches against the frozen graph and
+  /// selects its forward neighbors from them into `spec` (the
+  /// generation-batched parallel phase).
   void speculate(Index node, Index snap_entry, Index snap_max,
                  SearchScratch& scratch, Speculation& spec) const;
   /// Links one batched insert in serial index order from its recorded
-  /// candidates (neighbor selection, backlinks, shrink, entry update) —
-  /// the same link phase as insert(), minus the searches.
+  /// forward lists (backlinks, shrink, entry update) — the same link
+  /// phase as insert(), minus the searches and the forward selection.
   void commit(Index node, Index snap_max, const Speculation& spec,
               SearchScratch& scratch) SGL_REQUIRES(build_mutex_);
-  /// One generation [g0, g1): pool-parallel frozen-graph searches, then
-  /// serial commits.
+  /// One generation [g0, g1): pool-parallel frozen-graph searches and
+  /// forward selections, then serial commits.
   void insert_batch(Index g0, Index g1, Index threads,
                     std::vector<SearchScratch>& worker_scratch,
                     std::vector<Speculation>& specs, SearchScratch& scratch)

@@ -40,7 +40,10 @@ struct KnnGraphOptions {
   Index num_threads = 0;
 };
 
-/// Builds the weighted kNN graph over the rows of `x`.
+/// Builds the weighted kNN graph over the rows of `x`. Throws
+/// ContractViolation (ErrorCode::kInvalidArgument) naming the row when an
+/// entry of `x` is not finite or so large that a squared distance could
+/// overflow (4·M·max|x|² not representable).
 [[nodiscard]] graph::Graph build_knn_graph(const la::DenseMatrix& x,
                                            const KnnGraphOptions& options = {});
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -14,18 +15,29 @@
 namespace sgl::spectral {
 namespace {
 
+/// rows × columns below which a level's Jacobi sweeps run on the calling
+/// thread: on coarse levels pool dispatch costs more than the sweep (with
+/// every level on the pool, the 4-thread loop ran slower than the
+/// 1-thread one). Purely a scheduling threshold — the smoothed block is
+/// bitwise the same either way; 32768 (a 4096-node level at the default
+/// 8 test vectors) measured best on the 128² mesh's hierarchy.
+constexpr std::int64_t kInlineSmoothWork = 32768;
+
 /// `sweeps` weighted-Jacobi sweeps X ← X − ω D⁻¹ (L X) on one level.
 /// `work` is a scratch block of the same shape. spmm and the column
-/// update are both deterministic for every thread count.
+/// update are both deterministic for every thread count; levels below
+/// kInlineSmoothWork run inline.
 void jacobi_smooth(const graph::Graph& g, la::MultiVector& x,
                    la::MultiVector& work, Index sweeps, Real omega,
                    Index num_threads) {
   const la::CsrMatrix lap = g.laplacian();
   const la::Vector deg = g.weighted_degrees();
   const Index n = x.rows();
+  const Index threads =
+      std::int64_t{n} * x.cols() < kInlineSmoothWork ? 1 : num_threads;
   for (Index sweep = 0; sweep < sweeps; ++sweep) {
-    la::spmm(lap, x.view(), work.view(), num_threads);
-    parallel::parallel_for(0, x.cols(), num_threads, [&](Index c) {
+    la::spmm(lap, x.view(), work.view(), threads);
+    parallel::parallel_for(0, x.cols(), threads, [&](Index c) {
       auto xc = x.col(c);
       const auto wc = work.col(c);
       for (Index i = 0; i < n; ++i) {

@@ -6,6 +6,7 @@
 
 #include "core/sgl.hpp"
 #include "graph/components.hpp"
+#include "graph/fingerprint.hpp"
 #include "graph/generators.hpp"
 #include "measure/measurements.hpp"
 #include "spectral/embedding.hpp"
@@ -326,6 +327,28 @@ TEST(SglLearner, ThreadedRunMatchesSerialBitForBit) {
     for (std::size_t i = 0; i < serial.history.size(); ++i)
       EXPECT_EQ(parallel.history[i].smax, serial.history[i].smax);
   }
+}
+
+TEST(SglLearner, LearnedGraphKeyIdenticalAcrossThreadsOnMesh) {
+  // The benchmark's shape at a test-sized mesh: 64² grid, M = 100. The
+  // learned graph must carry the same GraphKey at 1 and 4 threads. HNSW
+  // is forced (the default backend scans exhaustively at this N) so the
+  // generation-parallel build and its distance kernel are on the path;
+  // the solver-free engine and an iteration cap keep the test short.
+  const measure::Measurements m = grid_measurements(64, 64, 100);
+  SglConfig config;
+  config.knn.backend = knn::KnnBackend::kHnsw;
+  config.embedding.engine = spectral::EmbeddingEngine::kSolverFree;
+  config.max_iterations = 10;
+  config.num_threads = 1;
+  const graph::GraphKey serial =
+      graph::graph_key(learn_graph(m.voltages, m.currents, config).learned);
+  config.num_threads = 4;
+  const graph::GraphKey parallel =
+      graph::graph_key(learn_graph(m.voltages, m.currents, config).learned);
+  EXPECT_EQ(parallel.num_edges, serial.num_edges);
+  EXPECT_EQ(parallel.endpoints, serial.endpoints);
+  EXPECT_EQ(parallel.weights, serial.weights);
 }
 
 TEST(SglLearner, StepReportsEigensolverConvergence) {

@@ -1,6 +1,9 @@
 // Unit tests for exact kNN search.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/rng.hpp"
 #include "knn/brute_force.hpp"
 
@@ -91,6 +94,88 @@ TEST(BruteForce, RowMajorConversionMatchesRows) {
   EXPECT_DOUBLE_EQ(rm[2], 5.0);
   EXPECT_DOUBLE_EQ(rm[3], -2.0);
   EXPECT_DOUBLE_EQ(point_distance_squared(rm, 2, 0, 1), 25.0 + 4.0);
+}
+
+/// Dims 1–33 reach every tail length of the 8-lane kernel (0–7 leftover
+/// dims after 0–4 full blocks); 100 is the benchmark's measurement count.
+std::vector<Index> kernel_dims() {
+  std::vector<Index> dims;
+  for (Index d = 1; d <= 33; ++d) dims.push_back(d);
+  dims.push_back(100);
+  return dims;
+}
+
+/// Row-major buffer of `n` standard-normal points of length `dim`.
+std::vector<Real> normal_rows(Index n, Index dim, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Real> data(static_cast<std::size_t>(n) * dim);
+  for (Real& v : data) v = rng.normal();
+  return data;
+}
+
+TEST(PointDistance, AgreesWithLongDoubleReference) {
+  // The lane-split sum reorders additions relative to a sequential loop,
+  // so it agrees with an extended-precision reference only to rounding:
+  // within dim · 4 ulp, relative.
+  constexpr Index kPoints = 12;
+  for (const Index dim : kernel_dims()) {
+    const std::vector<Real> data = normal_rows(kPoints, dim, 100 + dim);
+    for (Index a = 0; a < kPoints; ++a) {
+      for (Index b = 0; b < kPoints; ++b) {
+        if (a == b) continue;
+        const Real* pa = data.data() + static_cast<std::size_t>(a) * dim;
+        const Real* pb = data.data() + static_cast<std::size_t>(b) * dim;
+        long double ref = 0.0L;
+        for (Index d = 0; d < dim; ++d) {
+          const long double diff = static_cast<long double>(pa[d]) -
+                                   static_cast<long double>(pb[d]);
+          ref += diff * diff;
+        }
+        const Real got = point_distance_squared(data, dim, a, b);
+        const Real tol = static_cast<Real>(dim) * 4.0 *
+                         std::numeric_limits<Real>::epsilon() *
+                         static_cast<Real>(ref);
+        EXPECT_LE(std::abs(static_cast<long double>(got) - ref), tol)
+            << "dim=" << dim << " a=" << a << " b=" << b;
+      }
+    }
+  }
+}
+
+TEST(PointDistance, SymmetricBitForBitAndZeroOnSelf) {
+  constexpr Index kPoints = 8;
+  for (const Index dim : kernel_dims()) {
+    const std::vector<Real> data = normal_rows(kPoints, dim, 200 + dim);
+    for (Index a = 0; a < kPoints; ++a) {
+      EXPECT_EQ(point_distance_squared(data, dim, a, a), 0.0) << "dim=" << dim;
+      for (Index b = 0; b < kPoints; ++b) {
+        // EXPECT_EQ on doubles is exact equality: same bits (no nans here).
+        EXPECT_EQ(point_distance_squared(data, dim, a, b),
+                  point_distance_squared(data, dim, b, a))
+            << "dim=" << dim << " a=" << a << " b=" << b;
+      }
+    }
+  }
+}
+
+TEST(PointDistance, ExactOnSmallIntegerPoints) {
+  // Small-integer coordinates make every difference, square and partial
+  // sum an exactly representable integer, so any summation order must
+  // return the exact squared distance.
+  Rng rng(301);
+  for (const Index dim : kernel_dims()) {
+    std::vector<Real> data(2 * static_cast<std::size_t>(dim));
+    std::int64_t exact = 0;
+    for (Index d = 0; d < dim; ++d) {
+      const auto a = static_cast<std::int64_t>(rng.uniform_int(201)) - 100;
+      const auto b = static_cast<std::int64_t>(rng.uniform_int(201)) - 100;
+      data[static_cast<std::size_t>(d)] = static_cast<Real>(a);
+      data[static_cast<std::size_t>(dim + d)] = static_cast<Real>(b);
+      exact += (a - b) * (a - b);
+    }
+    EXPECT_EQ(point_distance_squared(data, dim, 0, 1), static_cast<Real>(exact))
+        << "dim=" << dim;
+  }
 }
 
 }  // namespace

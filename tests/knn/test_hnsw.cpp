@@ -158,22 +158,26 @@ TEST(Hnsw, ParallelBuildMatchesSerialEdgeForEdge) {
   // The generation-parallel build must produce the EXACT serial graph —
   // entry point, max level, per-node levels, and every adjacency list in
   // order — for every thread count (DESIGN.md §9). N is above the serial
-  // build threshold so the generation machinery actually engages.
-  const la::DenseMatrix x = random_points(1200, 8, 31);
-  const HnswIndex serial(x, {}, 1);
-  for (const Index threads : {2, 4, 8}) {
-    const HnswIndex parallel(x, {}, threads);
-    EXPECT_EQ(parallel.entry_point(), serial.entry_point())
-        << "threads=" << threads;
-    ASSERT_EQ(parallel.max_level(), serial.max_level())
-        << "threads=" << threads;
-    for (Index node = 0; node < 1200; ++node) {
-      ASSERT_EQ(parallel.level_of(node), serial.level_of(node))
-          << "node=" << node << " threads=" << threads;
-      for (Index level = 0; level <= serial.level_of(node); ++level) {
-        EXPECT_EQ(parallel.links(node, level), serial.links(node, level))
-            << "node=" << node << " level=" << level
-            << " threads=" << threads;
+  // build threshold so the generation machinery actually engages. Dims 13
+  // and 100 run the distance kernel's tail lanes and the benchmark's
+  // measurement count.
+  for (const Index dim : {8, 13, 100}) {
+    const la::DenseMatrix x = random_points(1200, dim, 31);
+    const HnswIndex serial(x, {}, 1);
+    for (const Index threads : {2, 4, 8}) {
+      const HnswIndex parallel(x, {}, threads);
+      EXPECT_EQ(parallel.entry_point(), serial.entry_point())
+          << "dim=" << dim << " threads=" << threads;
+      ASSERT_EQ(parallel.max_level(), serial.max_level())
+          << "dim=" << dim << " threads=" << threads;
+      for (Index node = 0; node < 1200; ++node) {
+        ASSERT_EQ(parallel.level_of(node), serial.level_of(node))
+            << "dim=" << dim << " node=" << node << " threads=" << threads;
+        for (Index level = 0; level <= serial.level_of(node); ++level) {
+          EXPECT_EQ(parallel.links(node, level), serial.links(node, level))
+              << "dim=" << dim << " node=" << node << " level=" << level
+              << " threads=" << threads;
+        }
       }
     }
   }

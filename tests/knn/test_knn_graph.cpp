@@ -1,9 +1,12 @@
 // Unit tests for kNN graph construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
+#include <string>
 
 #include "common/rng.hpp"
 #include "core/sgl.hpp"
@@ -215,6 +218,119 @@ TEST(KnnGraph, BackendsAgreeOnExactRegime) {
       std::min(g1.num_edges(), g2.num_edges()) /
       static_cast<Real>(std::max(g1.num_edges(), g2.num_edges()));
   EXPECT_GE(overlap, 0.95);
+}
+
+/// Reference symmetrization: kNN hits merged through a std::map keyed by
+/// (min, max) endpoints, smaller distance kept, edges added in map order;
+/// median from a full sort.
+graph::Graph map_symmetrized_reference(const la::DenseMatrix& x,
+                                       const KnnGraphOptions& options) {
+  const KnnResult knn =
+      options.backend == KnnBackend::kBruteForce
+          ? brute_force_knn(x, options.k, options.num_threads)
+          : hnsw_knn(x, options.k, options.hnsw, options.num_threads);
+  std::vector<Real> dists = knn.distance_squared;
+  std::sort(dists.begin(), dists.end());
+  const Real median = dists[dists.size() / 2];
+  const Real floor2 =
+      std::max(options.distance_floor_rel * median, Real{1e-300});
+  std::map<std::pair<Index, Index>, Real> pair_dist;
+  for (Index i = 0; i < x.rows(); ++i) {
+    for (Index j = 0; j < knn.k; ++j) {
+      const std::size_t at = static_cast<std::size_t>(i) * knn.k + j;
+      const Index nb = knn.neighbor[at];
+      if (nb == i || nb == kInvalidIndex) continue;
+      const Real d = knn.distance_squared[at];
+      const auto key = std::minmax(i, nb);
+      auto [it, inserted] = pair_dist.try_emplace({key.first, key.second}, d);
+      if (!inserted) it->second = std::min(it->second, d);
+    }
+  }
+  graph::Graph g(x.rows());
+  for (const auto& [key, d] : pair_dist)
+    g.add_edge(key.first, key.second,
+               static_cast<Real>(x.cols()) / std::max(d, floor2));
+  return g;
+}
+
+TEST(KnnGraph, SortedSymmetrizationMatchesMapReference) {
+  // Random points plus ten exact duplicates (zero distances, floored
+  // weights): the sort+unique symmetrization must reproduce the map-built
+  // graph edge for edge — same order, same endpoints, same weight bits.
+  la::DenseMatrix x = random_points(300, 6, 43);
+  for (Index i = 0; i < 10; ++i)
+    for (Index j = 0; j < 6; ++j) x(290 + i, j) = x(3 * i, j);
+  for (const KnnBackend backend :
+       {KnnBackend::kBruteForce, KnnBackend::kHnsw}) {
+    KnnGraphOptions options;
+    options.k = 5;
+    options.backend = backend;
+    options.ensure_connected = false;
+    const graph::Graph got = build_knn_graph(x, options);
+    const graph::Graph ref = map_symmetrized_reference(x, options);
+    ASSERT_EQ(got.num_edges(), ref.num_edges());
+    for (Index e = 0; e < ref.num_edges(); ++e) {
+      EXPECT_EQ(got.edge(e).s, ref.edge(e).s) << "edge " << e;
+      EXPECT_EQ(got.edge(e).t, ref.edge(e).t) << "edge " << e;
+      EXPECT_EQ(got.edge(e).weight, ref.edge(e).weight) << "edge " << e;
+    }
+    // The input must exercise both merge cases: pairs found from both
+    // ends (fewer edges than hits) and pairs found from one end only
+    // (more edges than N·k/2).
+    EXPECT_LT(ref.num_edges(), 300 * 5);
+    EXPECT_GT(ref.num_edges(), 300 * 5 / 2);
+  }
+}
+
+/// Runs `fn`, which must throw a kInvalidArgument ContractViolation whose
+/// message names `row`.
+template <typename F>
+void expect_rejects_row(F&& fn, Index row, const char* what) {
+  try {
+    fn();
+    ADD_FAILURE() << what << ": no exception";
+  } catch (const ContractViolation& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << what;
+    EXPECT_NE(std::string(e.what()).find("row " + std::to_string(row)),
+              std::string::npos)
+        << what << ": " << e.what();
+  }
+}
+
+TEST(KnnGraph, RejectsNonFiniteAndOverflowingMeasurements) {
+  // A 1e200 entry used to overflow its squared distances to inf, giving a
+  // zero weight that failed deep in Graph::add_edge; nan and inf failed
+  // the same way. The boundary check names the row instead, both for the
+  // kNN builder and for the learner that calls it.
+  const Real bad_values[] = {1e200, std::numeric_limits<Real>::quiet_NaN(),
+                             std::numeric_limits<Real>::infinity(),
+                             -std::numeric_limits<Real>::infinity()};
+  for (const Real bad : bad_values) {
+    la::DenseMatrix x = random_points(40, 4, 9);
+    x(7, 2) = bad;
+    x(31, 0) = bad;  // a later row must not be the one reported
+    const std::string what = "value " + std::to_string(bad);
+    expect_rejects_row([&] { (void)build_knn_graph(x, {}); }, 7,
+                       what.c_str());
+    expect_rejects_row([&] { core::SglLearner learner(x, core::SglConfig{}); },
+                       7, what.c_str());
+  }
+}
+
+TEST(KnnGraph, AcceptsLargeRepresentableMeasurements) {
+  // Entries below 1e153, within a factor of ~3 of the limit
+  // √(DBL_MAX / 16) ≈ 3.4e153: 4·M·max|x|² < 16·(1e153)² = 1.6e307 is
+  // representable, so the data is valid and every weight stays finite and
+  // positive.
+  la::DenseMatrix x = random_points(40, 4, 9);
+  for (Index j = 0; j < 4; ++j)
+    for (Index i = 0; i < 40; ++i) x(i, j) *= 1e153 / 4.0;
+  const graph::Graph g = build_knn_graph(x, {});
+  EXPECT_TRUE(graph::is_connected(g));
+  for (const graph::Edge& e : g.edges()) {
+    EXPECT_TRUE(std::isfinite(e.weight));
+    EXPECT_GT(e.weight, 0.0);
+  }
 }
 
 TEST(KnnGraph, Contracts) {
