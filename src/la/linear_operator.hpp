@@ -5,10 +5,10 @@
 // power iterations, residual checks) program against this interface; the
 // concrete operator decides how the apply is computed — a CSR SpMV/SpMM
 // here, a grounded Laplacian pseudo-inverse solve in
-// solver/operators.hpp, a preconditioned composition, or any user-supplied
-// subclass. apply_block is the hot entry point: backends batch the b
-// right-hand sides through shared state (one streaming pass over the CSR
-// nonzeros, one shared factorization) instead of b independent calls.
+// solver/operators.hpp, or any user-supplied subclass. apply_block is the
+// hot entry point: backends batch the b right-hand sides through shared
+// state (one streaming pass over the CSR nonzeros, one shared
+// factorization) instead of b independent calls.
 #pragma once
 
 #include "la/multi_vector.hpp"

@@ -206,13 +206,13 @@ void AmgHierarchy::v_cycle(const la::Vector& r, la::Vector& z) const {
 // --- block V-cycle ---------------------------------------------------------
 //
 // The block flavour keeps b right-hand sides packed row-major (one
-// contiguous b-strip per matrix row, like the IC(0)/tree block sweeps) so
-// every streamed matrix entry updates one strip. Per column the operation
-// order is exactly the scalar cycle()'s: Gauss–Seidel rows in the same
-// sequence, residual row sums in nonzero order, the restriction's
-// zero-skip and fixed-chunk combine reproduced from
-// CsrMatrix::multiply_transposed — that is what makes a block column
-// bitwise equal to the scalar V-cycle on that column alone.
+// contiguous b-strip per matrix row) so every streamed matrix entry
+// updates one strip. Per column the operation order is exactly the
+// scalar cycle()'s: Gauss–Seidel rows in the same sequence, residual row
+// sums in nonzero order, the restriction's zero-skip and fixed-chunk
+// combine reproduced from CsrMatrix::multiply_transposed — that is what
+// makes a block column bitwise equal to the scalar V-cycle on that column
+// alone.
 
 void AmgHierarchy::smooth_block(const Level& level, const std::vector<Real>& rhs,
                                 std::vector<Real>& x, Index b,

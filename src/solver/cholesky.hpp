@@ -102,9 +102,6 @@ struct FactorStats {
   Index panel_max_width = 0;
 };
 
-/// Historical name from when the struct lived inside the scalar solver.
-using CholeskyStats = FactorStats;
-
 class CholeskySolver {
  public:
   /// Factors the SPD matrix `a` (full symmetric storage) as

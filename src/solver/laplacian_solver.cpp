@@ -34,11 +34,8 @@ la::CsrMatrix grounded_laplacian(const graph::Graph& g, Index ground) {
 }
 
 namespace {
-constexpr std::array<common::EnumName<LaplacianMethod>, 6> kMethodNames{{
+constexpr std::array<common::EnumName<LaplacianMethod>, 3> kMethodNames{{
     {LaplacianMethod::kCholesky, "cholesky"},
-    {LaplacianMethod::kPcgJacobi, "pcg-jacobi"},
-    {LaplacianMethod::kPcgIc0, "pcg-ic0"},
-    {LaplacianMethod::kPcgTree, "pcg-tree"},
     {LaplacianMethod::kPcgAmg, "pcg-amg"},
     {LaplacianMethod::kAuto, "auto"},
 }};
@@ -98,15 +95,6 @@ LaplacianPinvSolver::LaplacianPinvSolver(const graph::Graph& g,
         cholesky_ = std::make_unique<CholeskySolver>(
             grounded_, options.ordering, options.num_threads);
       }
-      break;
-    case LaplacianMethod::kPcgJacobi:
-      preconditioner_ = std::make_unique<JacobiPreconditioner>(grounded_);
-      break;
-    case LaplacianMethod::kPcgIc0:
-      preconditioner_ = std::make_unique<Ic0Preconditioner>(grounded_);
-      break;
-    case LaplacianMethod::kPcgTree:
-      preconditioner_ = std::make_unique<TreePreconditioner>(g);
       break;
     case LaplacianMethod::kPcgAmg:
       preconditioner_ = std::make_unique<AmgPreconditioner>(grounded_, options.amg);
@@ -168,7 +156,7 @@ la::Vector LaplacianPinvSolver::apply(const la::Vector& y) const {
 bool LaplacianPinvSolver::update_edge(Index s, Index t, Real w) {
   SGL_EXPECTS(s >= 0 && s < n_ && t >= 0 && t < n_ && s != t,
               "LaplacianPinvSolver::update_edge: bad edge");
-  if (!cholesky_) return false;  // no in-place path on the PCG methods
+  if (!cholesky_) return false;  // no in-place path for PCG
   // Map graph nodes to grounded indices: the ground node drops out of the
   // reduced system, so a ground-incident edge stamps only the other
   // endpoint's diagonal (kInvalidIndex marks the dropped endpoint).
@@ -193,7 +181,7 @@ void LaplacianPinvSolver::refactorize(const graph::Graph& g) {
               "LaplacianPinvSolver::refactorize: node count mismatch");
   grounded_ = grounded_laplacian(g, ground_);
   if (cholesky_) cholesky_->refactorize(grounded_, factor_num_threads_);
-  // PCG methods: the preconditioner setup is kept on purpose — see the
+  // PCG path: the preconditioner setup is kept on purpose — see the
   // header contract.
 }
 

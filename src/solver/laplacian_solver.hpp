@@ -5,9 +5,9 @@
 // L⁺y whenever the right-hand side is orthogonal to the all-ones vector —
 // the situation everywhere in SGL (current vectors sum to zero, e_s − e_t
 // probes, Lanczos iterates). This facade hides the grounding bookkeeping
-// and picks between a direct LDLᵀ factorization and PCG (Jacobi- or
-// AMG-preconditioned), mirroring how a circuit simulator grounds a node
-// of the admittance matrix.
+// and picks between a direct LDLᵀ factorization and AMG-preconditioned
+// PCG (the fallback for graphs whose factor is too large), mirroring how
+// a circuit simulator grounds a node of the admittance matrix.
 #pragma once
 
 #include <memory>
@@ -22,17 +22,12 @@
 #include "la/multi_vector.hpp"
 #include "solver/amg.hpp"
 #include "solver/cholesky.hpp"
-#include "solver/ic0.hpp"
 #include "solver/pcg.hpp"
-#include "solver/tree_preconditioner.hpp"
 
 namespace sgl::solver {
 
 enum class LaplacianMethod {
   kCholesky,
-  kPcgJacobi,
-  kPcgIc0,
-  kPcgTree,
   kPcgAmg,
   /// Cholesky for small or ultra-sparse graphs, PCG-AMG for large meshes.
   kAuto,
@@ -45,7 +40,7 @@ enum class LaplacianMethod {
 [[nodiscard]] la::CsrMatrix grounded_laplacian(const graph::Graph& g,
                                                Index ground = 0);
 
-/// CLI-facing name of a method ("cholesky", "pcg-jacobi", …, "auto").
+/// CLI-facing name of a method ("cholesky", "pcg-amg", "auto").
 [[nodiscard]] const char* laplacian_method_name(LaplacianMethod method);
 
 /// Inverse of laplacian_method_name; nullopt for unknown names.
@@ -109,7 +104,7 @@ class LaplacianPinvSolver {
   /// goes through ONE pair of level-parallel triangular sweeps (the
   /// factor's nonzeros are streamed once per block, not once per column),
   /// with grounding gather/scatter and centering hoisted into MultiVector
-  /// kernels; PCG methods run block PCG (pcg_solve_block): one CSR SpMM
+  /// kernels; the PCG path runs block PCG (pcg_solve_block): one CSR SpMM
   /// and one Preconditioner::apply_block per iteration, with converged
   /// columns deflated. Every output element is computed in the same fixed
   /// order as apply(), so the block result is bit-identical to b
@@ -122,7 +117,7 @@ class LaplacianPinvSolver {
                    Index num_threads = 0) const;
 
   /// apply_block with explicit per-call PCG options, the warm-start entry
-  /// point (DESIGN.md §8): on the PCG methods `pcg.initial_guess` seeds
+  /// point (DESIGN.md §8): on the PCG path `pcg.initial_guess` seeds
   /// the internal grounded iterate (an (n−1) × b block in grounded
   /// coordinates) and `pcg.final_iterate` receives the converged grounded
   /// iterate for the caller to feed back next time. Null views — the
@@ -163,7 +158,7 @@ class LaplacianPinvSolver {
   /// (Cholesky: numeric-only phase, bit-identical to a fresh same-ordering
   /// factorization; precondition — `g`'s grounded pattern is contained in
   /// the analyzed pattern, e.g. only weights changed or every new edge
-  /// passed update_edge). On the PCG methods the preconditioner setup is
+  /// passed update_edge). On the PCG path the preconditioner setup is
   /// deliberately KEPT: with an unchanged pattern it remains a valid SPD
   /// approximate inverse, trading a few extra iterations for the setup
   /// cost. `g` must have the node count this solver was built for.
@@ -175,14 +170,14 @@ class LaplacianPinvSolver {
   [[nodiscard]] LaplacianMethod method() const noexcept { return method_; }
 
   /// Factorization statistics (nnz, supernodes, levels, seconds) when the
-  /// resolved method is Cholesky; nullptr for the PCG methods, which hold
+  /// resolved method is Cholesky; nullptr on the PCG path, which holds
   /// no factor.
   [[nodiscard]] const FactorStats* factor_stats() const noexcept {
     return cholesky_ ? &cholesky_->stats() : nullptr;
   }
 
   /// The grounded-system fill-reducing permutation of the Cholesky factor
-  /// (empty on the PCG methods) — feed it to the ordering-hint constructor
+  /// (empty on the PCG path) — feed it to the ordering-hint constructor
   /// to rebuild over a grown pattern without re-running the ordering
   /// heuristic.
   [[nodiscard]] const std::vector<Index>& cholesky_permutation() const {

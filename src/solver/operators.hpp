@@ -1,15 +1,12 @@
-// Solver-backed LinearOperator adapters (DESIGN.md §1).
+// Solver-backed LinearOperator adapter (DESIGN.md §1).
 //
-// These bridge the solver layer into the block linear-algebra backbone:
+// This bridges the solver layer into the block linear-algebra backbone:
 // the Laplacian pseudo-inverse becomes an operator the block Lanczos
-// eigensolver can apply batched, and a preconditioned composition exposes
-// the M⁻¹A operator PCG effectively iterates on (useful for spectrum /
-// condition-number diagnostics of a preconditioner).
+// eigensolver can apply batched.
 #pragma once
 
 #include "la/linear_operator.hpp"
 #include "solver/laplacian_solver.hpp"
-#include "solver/preconditioner.hpp"
 
 namespace sgl::solver {
 
@@ -42,36 +39,6 @@ class LaplacianPinvOperator final : public la::LinearOperator {
 
  private:
   const LaplacianPinvSolver& solver_;
-  Index num_threads_;
-};
-
-/// y = M⁻¹ (A x): the left-preconditioned operator whose spectrum governs
-/// PCG convergence. Note M⁻¹A is similar to (not equal to) the symmetric
-/// M^{-1/2} A M^{-1/2}, so its eigenvalues are real and positive for SPD
-/// A, M — but the operator itself is not symmetric; it is a diagnostics /
-/// composition adapter, not a Lanczos input.
-class PreconditionedOperator final : public la::LinearOperator {
- public:
-  /// Keeps references to `a` and `m`; both must outlive the operator.
-  PreconditionedOperator(const la::CsrMatrix& a, const Preconditioner& m,
-                         Index num_threads = 0)
-      : a_(a), m_(m), num_threads_(num_threads) {
-    SGL_EXPECTS(a.rows() == a.cols(),
-                "PreconditionedOperator: matrix must be square");
-    SGL_EXPECTS(m.size() == a.rows(),
-                "PreconditionedOperator: preconditioner size mismatch");
-  }
-
-  [[nodiscard]] Index rows() const noexcept override { return a_.rows(); }
-  [[nodiscard]] Index cols() const noexcept override { return a_.cols(); }
-
-  void apply(const la::Vector& x, la::Vector& y) const override;
-
-  void apply_block(la::ConstBlockView x, la::BlockView y) const override;
-
- private:
-  const la::CsrMatrix& a_;
-  const Preconditioner& m_;
   Index num_threads_;
 };
 

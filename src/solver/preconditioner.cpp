@@ -26,73 +26,4 @@ void Preconditioner::apply_block(la::ConstBlockView r, la::BlockView z,
   });
 }
 
-JacobiPreconditioner::JacobiPreconditioner(const la::CsrMatrix& a) {
-  SGL_EXPECTS(a.rows() == a.cols(), "JacobiPreconditioner: square matrix");
-  inv_diag_ = a.diagonal();
-  for (Real& d : inv_diag_) {
-    SGL_EXPECTS(d > 0.0, "JacobiPreconditioner: nonpositive diagonal");
-    d = 1.0 / d;
-  }
-}
-
-void JacobiPreconditioner::apply(const la::Vector& r, la::Vector& z) const {
-  SGL_EXPECTS(r.size() == inv_diag_.size(), "Jacobi::apply: size mismatch");
-  z.resize(r.size());
-  for (std::size_t i = 0; i < r.size(); ++i) z[i] = r[i] * inv_diag_[i];
-}
-
-void JacobiPreconditioner::apply_block(la::ConstBlockView r, la::BlockView z,
-                                       Index num_threads) const {
-  const Index n = size();
-  SGL_EXPECTS(r.rows == n && z.rows == n,
-              "JacobiPreconditioner::apply_block: row count mismatch");
-  SGL_EXPECTS(r.cols == z.cols,
-              "JacobiPreconditioner::apply_block: column count mismatch");
-  parallel::parallel_for(0, r.cols, num_threads, [&](Index j) {
-    const std::span<const Real> rj = r.col(j);
-    const std::span<Real> zj = z.col(j);
-    for (std::size_t i = 0; i < rj.size(); ++i) zj[i] = rj[i] * inv_diag_[i];
-  });
-}
-
-SgsPreconditioner::SgsPreconditioner(const la::CsrMatrix& a) : a_(a) {
-  SGL_EXPECTS(a.rows() == a.cols(), "SgsPreconditioner: square matrix");
-  diag_ = a.diagonal();
-  for (const Real d : diag_)
-    SGL_EXPECTS(d > 0.0, "SgsPreconditioner: nonpositive diagonal");
-}
-
-void SgsPreconditioner::apply(const la::Vector& r, la::Vector& z) const {
-  const Index n = a_.rows();
-  SGL_EXPECTS(to_index(r.size()) == n, "Sgs::apply: size mismatch");
-  z.assign(r.size(), 0.0);
-  const auto& rp = a_.row_ptr();
-  const auto& ci = a_.col_idx();
-  const auto& vv = a_.values();
-
-  // Forward sweep: (D + L) y = r.
-  for (Index i = 0; i < n; ++i) {
-    Real acc = r[static_cast<std::size_t>(i)];
-    for (Index k = rp[static_cast<std::size_t>(i)];
-         k < rp[static_cast<std::size_t>(i) + 1]; ++k) {
-      const Index j = ci[static_cast<std::size_t>(k)];
-      if (j < i) acc -= vv[static_cast<std::size_t>(k)] * z[static_cast<std::size_t>(j)];
-    }
-    z[static_cast<std::size_t>(i)] = acc / diag_[static_cast<std::size_t>(i)];
-  }
-  // Scale by D: y ← D y.
-  for (Index i = 0; i < n; ++i)
-    z[static_cast<std::size_t>(i)] *= diag_[static_cast<std::size_t>(i)];
-  // Backward sweep: (D + U) z = y.
-  for (Index i = n - 1; i >= 0; --i) {
-    Real acc = z[static_cast<std::size_t>(i)];
-    for (Index k = rp[static_cast<std::size_t>(i)];
-         k < rp[static_cast<std::size_t>(i) + 1]; ++k) {
-      const Index j = ci[static_cast<std::size_t>(k)];
-      if (j > i) acc -= vv[static_cast<std::size_t>(k)] * z[static_cast<std::size_t>(j)];
-    }
-    z[static_cast<std::size_t>(i)] = acc / diag_[static_cast<std::size_t>(i)];
-  }
-}
-
 }  // namespace sgl::solver

@@ -1,17 +1,13 @@
-// Preconditioner interface and the simple point preconditioners.
+// Preconditioner interface and the identity preconditioner.
 //
 // A preconditioner approximates A⁻¹ with a fixed symmetric positive
-// definite operator z = M⁻¹ r — the contract PCG requires. The batched
-// apply_block is the seam for a future block-PCG: the default routes
-// column by column through apply(), and the sweep-based preconditioners
-// (IC(0), spanning tree) override it with true block sweeps that stream
-// their factors once per block.
+// definite operator z = M⁻¹ r — the contract PCG requires. apply_block is
+// the block-PCG seam: the default routes column by column through
+// apply(), and AMG overrides it with a V-cycle that streams its hierarchy
+// once per block.
 #pragma once
 
-#include <memory>
-
 #include "la/multi_vector.hpp"
-#include "la/sparse.hpp"
 #include "la/vector_ops.hpp"
 
 namespace sgl::solver {
@@ -43,40 +39,6 @@ class IdentityPreconditioner final : public Preconditioner {
 
  private:
   Index n_;
-};
-
-/// M = diag(A). Cheap, modest acceleration.
-class JacobiPreconditioner final : public Preconditioner {
- public:
-  explicit JacobiPreconditioner(const la::CsrMatrix& a);
-  void apply(const la::Vector& r, la::Vector& z) const override;
-
-  /// Block application: one elementwise diagonal scaling over the whole
-  /// block (no per-column scratch or virtual dispatch), the same multiply
-  /// per element as apply() — bitwise equal to b apply() calls.
-  void apply_block(la::ConstBlockView r, la::BlockView z,
-                   Index num_threads = 0) const override;
-
-  [[nodiscard]] Index size() const noexcept override {
-    return to_index(inv_diag_.size());
-  }
-
- private:
-  la::Vector inv_diag_;
-};
-
-/// Symmetric Gauss–Seidel: M = (D + L) D⁻¹ (D + U); one forward plus one
-/// backward sweep, symmetric by construction.
-class SgsPreconditioner final : public Preconditioner {
- public:
-  /// Keeps a reference to `a`; the matrix must outlive the preconditioner.
-  explicit SgsPreconditioner(const la::CsrMatrix& a);
-  void apply(const la::Vector& r, la::Vector& z) const override;
-  [[nodiscard]] Index size() const noexcept override { return a_.rows(); }
-
- private:
-  const la::CsrMatrix& a_;
-  la::Vector diag_;
 };
 
 }  // namespace sgl::solver

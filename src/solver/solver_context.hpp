@@ -15,7 +15,7 @@
 //   - weights-only change    → numeric refactorization with the KEPT
 //                              symbolic analysis (Cholesky), or a matrix
 //                              refresh that reuses the preconditioner
-//                              setup (PCG methods — same pattern, so the
+//                              setup (PCG — same pattern, so the
 //                              setup is still a valid approximate
 //                              inverse);
 //   - anything else          → full rebuild.

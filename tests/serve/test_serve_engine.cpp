@@ -299,7 +299,7 @@ TEST(ServeEngine, EmbeddingIsCachedPerGraphKey) {
 
 TEST(ServeEngine, PcgStallSurfacesTypedPcgStalled) {
   ServeOptions options;
-  options.solver.method = solver::LaplacianMethod::kPcgJacobi;
+  options.solver.method = solver::LaplacianMethod::kPcgAmg;
   options.solver.pcg.max_iterations = 1;
   options.solver.pcg.rel_tolerance = 1e-14;
   ServeEngine engine(options);

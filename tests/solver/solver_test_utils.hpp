@@ -4,6 +4,9 @@
 // factors.
 #pragma once
 
+#include <algorithm>
+#include <string>
+
 #include "common/rng.hpp"
 #include "la/multi_vector.hpp"
 #include "solver/laplacian_solver.hpp"
@@ -19,6 +22,14 @@ inline la::MultiVector random_block_rhs(Index rows, Index cols,
   for (Index j = 0; j < cols; ++j)
     for (Real& v : b.col(j)) v = rng.normal();
   return b;
+}
+
+/// gtest-safe method name ("pcg-amg" → "pcg_amg"), so parameterized test
+/// names follow the method rather than its enum value.
+inline std::string method_test_name(LaplacianMethod method) {
+  std::string name = laplacian_method_name(method);
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
 }
 
 }  // namespace sgl::solver

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <tuple>
 
 #include "common/rng.hpp"
 #include "eig/dense_eig.hpp"
 #include "graph/generators.hpp"
 #include "solver/laplacian_solver.hpp"
+#include "solver_test_utils.hpp"
 
 namespace sgl::solver {
 namespace {
@@ -62,9 +65,11 @@ INSTANTIATE_TEST_SUITE_P(
     GraphsAndMethods, PinvCrossValidation,
     ::testing::Combine(::testing::Values(0, 1, 2, 3),
                        ::testing::Values(LaplacianMethod::kCholesky,
-                                         LaplacianMethod::kPcgIc0,
-                                         LaplacianMethod::kPcgTree,
-                                         LaplacianMethod::kPcgAmg)));
+                                         LaplacianMethod::kPcgAmg)),
+    [](const auto& info) {
+      return method_test_name(std::get<1>(info.param)) + "_graph" +
+             std::to_string(std::get<0>(info.param));
+    });
 
 TEST(PinvCrossValidation, CompleteGraphClosedForm) {
   // K_n: Reff(s, t) = 2/n for every pair.

@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
 #include "solver/laplacian_solver.hpp"
+#include "solver_test_utils.hpp"
 
 namespace sgl::solver {
 namespace {
@@ -109,11 +110,11 @@ TEST_P(LaplacianMethodSweep, AllMethodsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Methods, LaplacianMethodSweep,
                          ::testing::Values(LaplacianMethod::kCholesky,
-                                           LaplacianMethod::kPcgJacobi,
-                                           LaplacianMethod::kPcgIc0,
-                                           LaplacianMethod::kPcgTree,
                                            LaplacianMethod::kPcgAmg,
-                                           LaplacianMethod::kAuto));
+                                           LaplacianMethod::kAuto),
+                         [](const auto& info) {
+                           return method_test_name(info.param);
+                         });
 
 // --- Solver-method agreement across graph families ----------------------
 // Every method must produce the same L⁺ action — via apply() and via
@@ -166,9 +167,8 @@ TEST_P(MethodGraphAgreement, ApplyAndApplyBlockMatchCholeskyReference) {
 std::vector<MethodGraphCase> method_graph_cases() {
   std::vector<MethodGraphCase> cases;
   for (const LaplacianMethod m :
-       {LaplacianMethod::kCholesky, LaplacianMethod::kPcgJacobi,
-        LaplacianMethod::kPcgIc0, LaplacianMethod::kPcgTree,
-        LaplacianMethod::kPcgAmg, LaplacianMethod::kAuto}) {
+       {LaplacianMethod::kCholesky, LaplacianMethod::kPcgAmg,
+        LaplacianMethod::kAuto}) {
     for (const char* g : {"path", "mesh", "torus"}) cases.push_back({m, g});
   }
   return cases;
@@ -178,10 +178,7 @@ INSTANTIATE_TEST_SUITE_P(
     MethodsByGraph, MethodGraphAgreement,
     ::testing::ValuesIn(method_graph_cases()),
     [](const ::testing::TestParamInfo<MethodGraphCase>& info) {
-      std::string name = std::string(laplacian_method_name(info.param.method)) +
-                         "_" + info.param.graph;
-      std::replace(name.begin(), name.end(), '-', '_');
-      return name;
+      return method_test_name(info.param.method) + "_" + info.param.graph;
     });
 
 TEST(LaplacianSolver, DisconnectedGraphThrows) {
@@ -211,8 +208,7 @@ TEST(LaplacianSolver, ReportsResolvedAutoMethod) {
 TEST(LaplacianSolver, ApplyBlockMatchesPerColumnApplyBitwise) {
   const graph::Graph g = graph::make_grid2d(7, 6).graph;
   for (const LaplacianMethod method :
-       {LaplacianMethod::kCholesky, LaplacianMethod::kPcgJacobi,
-        LaplacianMethod::kPcgAmg}) {
+       {LaplacianMethod::kCholesky, LaplacianMethod::kPcgAmg}) {
     LaplacianSolverOptions options;
     options.method = method;
     const LaplacianPinvSolver pinv(g, options);
@@ -232,31 +228,26 @@ TEST(LaplacianSolver, ApplyBlockMatchesPerColumnApplyBitwise) {
 
 TEST(LaplacianSolver, ApplyBlockMatchesApplyBitwiseAllPcgMethods) {
   // The block-PCG path must reproduce the scalar per-column PCG exactly —
-  // for every preconditioner family, thread count, and block width.
+  // for every thread count and block width.
   const graph::Graph g = graph::make_grid2d(9, 8).graph;
-  for (const LaplacianMethod method :
-       {LaplacianMethod::kPcgJacobi, LaplacianMethod::kPcgIc0,
-        LaplacianMethod::kPcgTree, LaplacianMethod::kPcgAmg}) {
-    LaplacianSolverOptions options;
-    options.method = method;
-    const LaplacianPinvSolver pinv(g, options);
-    Rng rng(41);
-    for (const Index b : {1, 3, 8}) {
-      la::DenseMatrix y(g.num_nodes(), b);
-      for (Index j = 0; j < b; ++j)
-        for (Real& v : y.col(j)) v = rng.normal();
-      std::vector<la::Vector> refs;
-      for (Index j = 0; j < b; ++j)
-        refs.push_back(pinv.apply(y.col_vector(j)));
-      for (const Index threads : {1, 2, 4, 8}) {
-        const la::DenseMatrix x = pinv.apply_block(y, threads);
-        for (Index j = 0; j < b; ++j) {
-          const la::Vector& ref = refs[static_cast<std::size_t>(j)];
-          for (Index i = 0; i < g.num_nodes(); ++i)
-            EXPECT_EQ(x(i, j), ref[static_cast<std::size_t>(i)])
-                << laplacian_method_name(method) << " b=" << b
-                << " threads=" << threads << " col=" << j;
-        }
+  LaplacianSolverOptions options;
+  options.method = LaplacianMethod::kPcgAmg;
+  const LaplacianPinvSolver pinv(g, options);
+  Rng rng(41);
+  for (const Index b : {1, 3, 8}) {
+    la::DenseMatrix y(g.num_nodes(), b);
+    for (Index j = 0; j < b; ++j)
+      for (Real& v : y.col(j)) v = rng.normal();
+    std::vector<la::Vector> refs;
+    for (Index j = 0; j < b; ++j)
+      refs.push_back(pinv.apply(y.col_vector(j)));
+    for (const Index threads : {1, 2, 4, 8}) {
+      const la::DenseMatrix x = pinv.apply_block(y, threads);
+      for (Index j = 0; j < b; ++j) {
+        const la::Vector& ref = refs[static_cast<std::size_t>(j)];
+        for (Index i = 0; i < g.num_nodes(); ++i)
+          EXPECT_EQ(x(i, j), ref[static_cast<std::size_t>(i)])
+              << "b=" << b << " threads=" << threads << " col=" << j;
       }
     }
   }
@@ -268,7 +259,7 @@ TEST(LaplacianSolver, ApplyBlockStalledErrorCarriesOriginalColumnIndex) {
   // failure must name column 1, not a packed slot index.
   const graph::Graph g = graph::make_grid2d(10, 10).graph;
   LaplacianSolverOptions options;
-  options.method = LaplacianMethod::kPcgJacobi;
+  options.method = LaplacianMethod::kPcgAmg;
   options.pcg.max_iterations = 1;
   options.pcg.rel_tolerance = 1e-14;
   const LaplacianPinvSolver pinv(g, options);
@@ -288,7 +279,7 @@ TEST(LaplacianSolver, ApplyBlockStalledErrorCarriesOriginalColumnIndex) {
 TEST(LaplacianSolver, LastPcgIterationsIsMaxOverBlockColumns) {
   const graph::Graph g = graph::make_grid2d(9, 9).graph;
   LaplacianSolverOptions options;
-  options.method = LaplacianMethod::kPcgIc0;
+  options.method = LaplacianMethod::kPcgAmg;
   const LaplacianPinvSolver pinv(g, options);
   Rng rng(43);
   la::DenseMatrix y(g.num_nodes(), 3);
@@ -362,7 +353,7 @@ TEST(LaplacianSolver, ApplyBlockPropagatesPcgFailurePerRhs) {
   // convergence check must surface NumericalError from the block path.
   const graph::Graph g = graph::make_grid2d(10, 10).graph;
   LaplacianSolverOptions options;
-  options.method = LaplacianMethod::kPcgJacobi;
+  options.method = LaplacianMethod::kPcgAmg;
   options.pcg.max_iterations = 1;
   options.pcg.rel_tolerance = 1e-14;
   const LaplacianPinvSolver pinv(g, options);
@@ -416,16 +407,15 @@ TEST(LaplacianSolver, FactorStatsExposedForCholesky) {
 TEST(LaplacianSolver, FactorStatsNullForPcgMethods) {
   const graph::Graph g = graph::make_grid2d(6, 6).graph;
   LaplacianSolverOptions options;
-  options.method = LaplacianMethod::kPcgJacobi;
+  options.method = LaplacianMethod::kPcgAmg;
   const LaplacianPinvSolver pinv(g, options);
   EXPECT_EQ(pinv.factor_stats(), nullptr);
 }
 
 TEST(LaplacianSolver, MethodNamesRoundTrip) {
   for (const LaplacianMethod m :
-       {LaplacianMethod::kCholesky, LaplacianMethod::kPcgJacobi,
-        LaplacianMethod::kPcgIc0, LaplacianMethod::kPcgTree,
-        LaplacianMethod::kPcgAmg, LaplacianMethod::kAuto}) {
+       {LaplacianMethod::kCholesky, LaplacianMethod::kPcgAmg,
+        LaplacianMethod::kAuto}) {
     const auto parsed = parse_laplacian_method(laplacian_method_name(m));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, m);
@@ -433,6 +423,9 @@ TEST(LaplacianSolver, MethodNamesRoundTrip) {
   EXPECT_FALSE(parse_laplacian_method("lu").has_value());
   EXPECT_FALSE(parse_laplacian_method("").has_value());
   EXPECT_FALSE(parse_laplacian_method("Cholesky").has_value());
+  // Retired PCG flavours are unknown names, not aliases.
+  for (const char* retired : {"pcg-jacobi", "pcg-ic0", "pcg-tree"})
+    EXPECT_FALSE(parse_laplacian_method(retired).has_value()) << retired;
 }
 
 TEST(LaplacianSolver, ApplyBlockDefaultPcgOptionsMatchesPlainOverloadBitwise) {
@@ -440,7 +433,7 @@ TEST(LaplacianSolver, ApplyBlockDefaultPcgOptionsMatchesPlainOverloadBitwise) {
   // same solve as the two-argument apply_block, float for float.
   const graph::Graph g = graph::make_grid2d(8, 7).graph;
   LaplacianSolverOptions options;
-  options.method = LaplacianMethod::kPcgJacobi;
+  options.method = LaplacianMethod::kPcgAmg;
   const LaplacianPinvSolver pinv(g, options);
   Rng rng(19);
   la::DenseMatrix y(g.num_nodes(), 4);
@@ -457,7 +450,7 @@ TEST(LaplacianSolver, ApplyBlockDefaultPcgOptionsMatchesPlainOverloadBitwise) {
 TEST(LaplacianSolver, ApplyBlockWarmStartConvergesFasterToSameSolution) {
   const graph::Graph g = graph::make_grid2d(12, 11).graph;
   LaplacianSolverOptions options;
-  options.method = LaplacianMethod::kPcgJacobi;
+  options.method = LaplacianMethod::kPcgAmg;
   const LaplacianPinvSolver pinv(g, options);
   Rng rng(23);
   la::DenseMatrix y(g.num_nodes(), 3);

@@ -1,4 +1,4 @@
-// Unit tests for the solver-backed LinearOperator adapters.
+// Unit tests for the solver-backed LinearOperator adapter.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -41,52 +41,6 @@ TEST(Operators, LaplacianPinvOperatorBlockMatchesPerColumn) {
     for (Index i = 0; i < g.num_nodes(); ++i)
       EXPECT_DOUBLE_EQ(x(i, j), ref[static_cast<std::size_t>(i)]);
   }
-}
-
-TEST(Operators, PreconditionedOperatorComposesApplications) {
-  const graph::Graph g = graph::make_grid2d(6, 6).graph;
-  // Grounded SPD system + Jacobi: y = D⁻¹(A x).
-  std::vector<la::Triplet> t;
-  const la::CsrMatrix lap = g.laplacian();
-  for (Index i = 1; i < lap.rows(); ++i)
-    for (Index j = 1; j < lap.cols(); ++j)
-      if (lap.at(i, j) != 0.0) t.push_back({i - 1, j - 1, lap.at(i, j)});
-  const la::CsrMatrix a =
-      la::CsrMatrix::from_triplets(lap.rows() - 1, lap.cols() - 1, t);
-  const JacobiPreconditioner m(a);
-  const PreconditionedOperator op(a, m);
-
-  Rng rng(3);
-  la::Vector x(static_cast<std::size_t>(a.rows()));
-  for (Real& v : x) v = rng.normal();
-  la::Vector y;
-  op.apply(x, y);
-  la::Vector ref;
-  m.apply(a.multiply(x), ref);
-  ASSERT_EQ(y.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_DOUBLE_EQ(y[i], ref[i]);
-
-  // Block apply matches per-column apply exactly.
-  la::MultiVector xb(a.rows(), 4);
-  for (Index j = 0; j < 4; ++j)
-    for (Real& v : xb.col(j)) v = rng.normal();
-  la::MultiVector yb(a.rows(), 4);
-  op.apply_block(xb.view(), yb.view());
-  for (Index j = 0; j < 4; ++j) {
-    const la::Vector xj(xb.col(j).begin(), xb.col(j).end());
-    la::Vector yj;
-    op.apply(xj, yj);
-    for (Index i = 0; i < a.rows(); ++i)
-      EXPECT_DOUBLE_EQ(yb(i, j), yj[static_cast<std::size_t>(i)]);
-  }
-}
-
-TEST(Operators, PreconditionedOperatorContracts) {
-  const graph::Graph g = graph::make_path(5);
-  const la::CsrMatrix a = g.laplacian();
-  const JacobiPreconditioner m(a);
-  const la::CsrMatrix b = la::CsrMatrix::identity(3);
-  EXPECT_THROW((PreconditionedOperator{b, m}), ContractViolation);
 }
 
 }  // namespace

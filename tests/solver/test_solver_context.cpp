@@ -254,12 +254,12 @@ TEST(SolverContext, OrderingHintSizeMismatchThrows) {
 TEST(SolverContext, OrderingHintIgnoredOnPcgMethods) {
   const graph::Graph g = graph::make_grid2d(6, 6).graph;
   LaplacianSolverOptions options;
-  options.method = LaplacianMethod::kPcgJacobi;
+  options.method = LaplacianMethod::kPcgAmg;
   std::vector<Index> hint(static_cast<std::size_t>(g.num_nodes() - 1));
   for (Index i = 0; i + 1 < g.num_nodes(); ++i)
     hint[static_cast<std::size_t>(i)] = i;
   const LaplacianPinvSolver pinv(g, options, hint);
-  EXPECT_EQ(pinv.method(), LaplacianMethod::kPcgJacobi);
+  EXPECT_EQ(pinv.method(), LaplacianMethod::kPcgAmg);
   EXPECT_TRUE(pinv.cholesky_permutation().empty());
   EXPECT_LT(solve_rel_diff(pinv, g), 1e-7);
 }

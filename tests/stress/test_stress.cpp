@@ -192,17 +192,11 @@ TEST_P(StressSolverHammer, ConcurrentApplyBlockAndStatsReads) {
 INSTANTIATE_TEST_SUITE_P(
     Methods, StressSolverHammer,
     ::testing::Values(solver::LaplacianMethod::kCholesky,
-                      solver::LaplacianMethod::kPcgJacobi,
-                      solver::LaplacianMethod::kPcgIc0),
+                      solver::LaplacianMethod::kPcgAmg),
     [](const auto& info) {
-      switch (info.param) {
-        case solver::LaplacianMethod::kCholesky:
-          return std::string("Cholesky");
-        case solver::LaplacianMethod::kPcgJacobi:
-          return std::string("PcgJacobi");
-        default:
-          return std::string("PcgIc0");
-      }
+      return std::string(info.param == solver::LaplacianMethod::kCholesky
+                             ? "Cholesky"
+                             : "PcgAmg");
     });
 
 }  // namespace

@@ -65,8 +65,8 @@ void usage() {
       "                  byte-identical to historical output; on/auto keep\n"
       "                  one warm factorization across iterations and apply\n"
       "                  added edges as rank-1 updates)\n"
-      "  --solver <name> Laplacian solver: auto, cholesky, pcg-jacobi,\n"
-      "                  pcg-ic0, pcg-tree, pcg-amg  (default auto)\n"
+      "  --solver <name> Laplacian solver: auto, cholesky, pcg-amg\n"
+      "                  (default auto)\n"
       "  --ordering <name> factorization ordering: auto, amd, rcm, nd,\n"
       "                  natural                     (default auto)\n"
       "  --threads <int> worker threads; 0 = SGL_NUM_THREADS or hardware\n"

@@ -62,8 +62,7 @@ void usage() {
       "                       (default 200)\n"
       "  --cache <int>        factorization LRU capacity (default 4)\n"
       "  --threads <int>      solver threads, 0 = library default\n"
-      "  --solver <name>      cholesky|pcg-jacobi|pcg-ic0|pcg-tree|pcg-amg|"
-      "auto\n"
+      "  --solver <name>      cholesky|pcg-amg|auto\n"
       "  --engine <name>      embedding engine: exact|solver-free|auto\n"
       "\n"
       "protocol: one JSON request per line, one JSON response per line\n"
