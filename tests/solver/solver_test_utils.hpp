@@ -8,6 +8,8 @@
 #include <string>
 
 #include "common/rng.hpp"
+#include "graph/generators.hpp"
+#include "graph/mst.hpp"
 #include "la/multi_vector.hpp"
 #include "solver/laplacian_solver.hpp"
 
@@ -30,6 +32,38 @@ inline std::string method_test_name(LaplacianMethod method) {
   std::string name = laplacian_method_name(method);
   std::replace(name.begin(), name.end(), '-', '_');
   return name;
+}
+
+/// The shape of an SGL iterate: a maximum spanning tree of an nx × ny
+/// grid plus `extras` seeded off-tree edges (the εN densification), so
+/// most nodes have degree ≤ 2 and every solver sees a near-tree.
+inline graph::Graph ultra_sparse_graph(Index nx, Index ny, Index extras,
+                                       std::uint64_t seed) {
+  const graph::Graph mesh = graph::make_grid2d(nx, ny).graph;
+  graph::Graph g =
+      graph::subgraph_from_edges(mesh, graph::maximum_spanning_forest(mesh));
+  Rng rng(seed);
+  const Index n = g.num_nodes();
+  for (Index k = 0; k < extras; ++k) {
+    const Index s = rng.uniform_int(n);
+    const Index t = rng.uniform_int(n);
+    if (s != t) g.add_edge(s, t, 1.0);
+  }
+  return g;
+}
+
+/// Two k-cliques joined by a `bridge`-edge path: a bottleneck whose
+/// Fiedler value is tiny next to the clique spectra.
+inline graph::Graph barbell_graph(Index k, Index bridge) {
+  // Clique A is 0..k−1, the path interior k..k+bridge−2, clique B the
+  // last k nodes; the path runs k−1 → … → k+bridge−1.
+  const Index b0 = k + bridge - 1;
+  graph::Graph g(b0 + k);
+  for (const Index base : {Index{0}, b0})
+    for (Index i = 0; i < k; ++i)
+      for (Index j = i + 1; j < k; ++j) g.add_edge(base + i, base + j, 1.0);
+  for (Index i = k - 1; i < b0; ++i) g.add_edge(i, i + 1, 1.0);
+  return g;
 }
 
 }  // namespace sgl::solver

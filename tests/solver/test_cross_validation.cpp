@@ -44,7 +44,9 @@ TEST_P(PinvCrossValidation, SparseMatchesDenseReference) {
     case 0: g = graph::make_grid2d(6, 7).graph; break;
     case 1: g = graph::make_cycle(30); break;
     case 2: g = graph::make_star(25); break;
-    default: g = graph::make_circuit_grid(6, 6, 0, 0.5, 5.0, 3).graph; break;
+    case 3: g = graph::make_circuit_grid(6, 6, 0, 0.5, 5.0, 3).graph; break;
+    case 4: g = ultra_sparse_graph(7, 7, 5, 13); break;
+    default: g = barbell_graph(8, 6); break;
   }
   LaplacianSolverOptions options;
   options.method = method;
@@ -63,13 +65,48 @@ TEST_P(PinvCrossValidation, SparseMatchesDenseReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     GraphsAndMethods, PinvCrossValidation,
-    ::testing::Combine(::testing::Values(0, 1, 2, 3),
+    ::testing::Combine(::testing::Values(0, 1, 2, 3, 4, 5),
                        ::testing::Values(LaplacianMethod::kCholesky,
-                                         LaplacianMethod::kPcgAmg)),
+                                         LaplacianMethod::kPcgAmg,
+                                         LaplacianMethod::kAuto)),
     [](const auto& info) {
       return method_test_name(std::get<1>(info.param)) + "_graph" +
              std::to_string(std::get<0>(info.param));
     });
+
+// The fill-reducing ordering only permutes the factor: every ordering the
+// Cholesky path accepts must give the same L⁺ action on an SGL-shaped
+// near-tree.
+class CholeskyOrderingCrossValidation
+    : public ::testing::TestWithParam<OrderingMethod> {};
+
+TEST_P(CholeskyOrderingCrossValidation, MatchesDenseReferenceOnNearTree) {
+  const graph::Graph g = ultra_sparse_graph(8, 8, 9, 17);
+  LaplacianSolverOptions options;
+  options.method = LaplacianMethod::kCholesky;
+  options.ordering = GetParam();
+  const LaplacianPinvSolver pinv(g, options);
+
+  Rng rng(12);
+  la::Vector y(static_cast<std::size_t>(g.num_nodes()));
+  for (auto& v : y) v = rng.normal();
+  la::center(y);
+
+  const la::Vector sparse = pinv.apply(y);
+  const la::Vector dense = dense_pinv_apply(g, y);
+  for (std::size_t i = 0; i < sparse.size(); ++i)
+    EXPECT_NEAR(sparse[i], dense[i], 1e-8);
+}
+
+INSTANTIATE_TEST_SUITE_P(Orderings, CholeskyOrderingCrossValidation,
+                         ::testing::Values(OrderingMethod::kNatural,
+                                           OrderingMethod::kRcm,
+                                           OrderingMethod::kMinimumDegree,
+                                           OrderingMethod::kNestedDissection,
+                                           OrderingMethod::kAuto),
+                         [](const auto& info) {
+                           return std::string(ordering_method_name(info.param));
+                         });
 
 TEST(PinvCrossValidation, CompleteGraphClosedForm) {
   // K_n: Reff(s, t) = 2/n for every pair.

@@ -118,8 +118,9 @@ INSTANTIATE_TEST_SUITE_P(Methods, LaplacianMethodSweep,
 
 // --- Solver-method agreement across graph families ----------------------
 // Every method must produce the same L⁺ action — via apply() and via
-// apply_block() — on a path, a mesh, and a torus, within 1e-8 of the
-// Cholesky reference.
+// apply_block() — within 1e-8 of the Cholesky reference, on meshes and on
+// the shapes SGL actually hands the solver: trees plus a few extra edges,
+// hubs, bottlenecks, and wide conductance spreads.
 
 struct MethodGraphCase {
   LaplacianMethod method;
@@ -129,6 +130,13 @@ struct MethodGraphCase {
 graph::Graph agreement_graph(const std::string& name) {
   if (name == "path") return graph::make_path(60);
   if (name == "mesh") return graph::make_grid2d(9, 9).graph;
+  if (name == "star") return graph::make_star(40);
+  if (name == "complete") return graph::make_complete(24);
+  if (name == "barbell") return barbell_graph(10, 12);
+  if (name == "ultrasparse") return ultra_sparse_graph(12, 12, 14, 21);
+  if (name == "circuit")
+    return graph::make_circuit_grid(10, 10, 0, 0.1, 10.0, 7).graph;
+  if (name == "grid3d") return graph::make_grid3d(5, 5, 4);
   return graph::make_grid2d(8, 8, /*periodic=*/true).graph;  // torus
 }
 
@@ -169,7 +177,9 @@ std::vector<MethodGraphCase> method_graph_cases() {
   for (const LaplacianMethod m :
        {LaplacianMethod::kCholesky, LaplacianMethod::kPcgAmg,
         LaplacianMethod::kAuto}) {
-    for (const char* g : {"path", "mesh", "torus"}) cases.push_back({m, g});
+    for (const char* g : {"path", "mesh", "torus", "star", "complete",
+                          "barbell", "ultrasparse", "circuit", "grid3d"})
+      cases.push_back({m, g});
   }
   return cases;
 }

@@ -10,6 +10,7 @@
 #include "graph/generators.hpp"
 #include "solver/amg.hpp"
 #include "solver/pcg.hpp"
+#include "solver_test_utils.hpp"
 
 namespace sgl::solver {
 namespace {
@@ -169,6 +170,16 @@ TEST(PcgBlock, MatchesScalarBitwiseAcrossPreconditionersAndWidths) {
                                   options);
     }
   }
+}
+
+TEST(PcgBlock, MatchesScalarBitwiseWithAmgOnNearTree) {
+  // The SGL iterate shape: AMG aggregates a near-tree very differently
+  // from a mesh, and the block path must still reproduce scalar PCG.
+  const la::CsrMatrix a = grounded_laplacian(ultra_sparse_graph(16, 16, 12, 5));
+  const AmgPreconditioner m(a);
+  PcgOptions options;
+  options.rel_tolerance = 1e-10;
+  expect_block_matches_scalar(a, m, random_rhs_block(a.rows(), 6, 45), options);
 }
 
 TEST(PcgBlock, DeflationFreezesColumnsIndependently) {
