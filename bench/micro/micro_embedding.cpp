@@ -1,12 +1,16 @@
 // Embedding-engine microbenchmarks: the per-iteration embedding cost of
 // the learning loop on the 192² mesh (36 864 nodes — the scale where the
-// kAuto policy switches to the solver-free engine), exact vs solver-free.
+// kAuto policy switches to the solver-free engine), exact vs solver-free,
+// plus the solver-free engine on the graph shape the learning loop
+// actually embeds (a near-tree at ≈1.04 edges/node).
 // BM_Embedding and BM_SfSglEmbedding are the acceptance pair recorded in
-// the repo-root BENCH_solver.json baseline and gated by the blocking
-// bench leg in CI.
+// the repo-root BENCH_solver.json baseline; every BM_SfSgl* row is gated
+// by the blocking bench leg in CI.
 #include <benchmark/benchmark.h>
 
+#include "common/rng.hpp"
 #include "graph/generators.hpp"
+#include "graph/mst.hpp"
 #include "spectral/embedding.hpp"
 
 namespace {
@@ -59,6 +63,48 @@ BENCHMARK(BM_SfSglEmbedding)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond)
     ->Iterations(2);
+
+// A learned-graph shape: the maximum spanning tree of the 128² mesh plus
+// 650 seeded extra edges (≈1.04 edges/node, what the SGL loop embeds on
+// every iteration of the 128² benchmark input).
+const graph::Graph& learned128() {
+  static const graph::Graph g = [] {
+    const graph::Graph mesh = graph::make_grid2d(128, 128).graph;
+    graph::Graph tree = graph::subgraph_from_edges(
+        mesh, graph::maximum_spanning_forest(mesh));
+    Rng rng(2021);
+    const Index n = tree.num_nodes();
+    for (Index k = 0; k < 650; ++k) {
+      const Index s = rng.uniform_int(n);
+      const Index t = rng.uniform_int(n);
+      if (s != t) tree.add_edge(s, t, rng.uniform(0.5, 2.0));
+    }
+    return tree;
+  }();
+  return g;
+}
+
+// Solver-free engine on the learned shape, 1 and 4 threads: coarse levels
+// are tiny here, so this row is sensitive to per-level assembly and
+// per-sweep dispatch costs that the mesh row hides.
+void BM_SfSglEmbeddingLearned(benchmark::State& state) {
+  const graph::Graph& g = learned128();
+  spectral::EmbeddingOptions options;
+  options.r = 5;
+  options.engine = spectral::EmbeddingEngine::kSolverFree;
+  options.sf.num_threads = static_cast<Index>(state.range(0));
+  for (auto _ : state) {
+    const spectral::Embedding e = spectral::compute_embedding(g, options);
+    benchmark::DoNotOptimize(e.u.data().data());
+    state.counters["hierarchy_levels"] =
+        static_cast<double>(e.hierarchy_levels);
+  }
+}
+BENCHMARK(BM_SfSglEmbeddingLearned)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,5 +1,8 @@
 #include "graph/graph.hpp"
 
+#include <algorithm>
+#include <utility>
+
 namespace sgl::graph {
 
 la::Vector Graph::weighted_degrees() const {
@@ -12,18 +15,70 @@ la::Vector Graph::weighted_degrees() const {
 }
 
 la::CsrMatrix Graph::laplacian() const {
-  std::vector<la::Triplet> triplets;
-  triplets.reserve(edges_.size() * 4);
+  // Row-by-row assembly that is bit-identical to from_triplets over the
+  // stamp list (s,s,w), (t,t,w), (s,t,−w), (t,s,−w) per edge, then a
+  // structural-zero (i,i,0) per node — isolated nodes still need their
+  // diagonal slot for factorization codes. from_triplets buckets that list
+  // by row stably, so row r's run is, per incident edge in edge order,
+  // (r, w) then (other, −w), closed by (r, 0). It then std::sorts each run
+  // by column and sums duplicates in sorted order. A run holds 2·deg+1
+  // entries, so from degree 8 the sort is libstdc++'s unstable introsort
+  // and its output order fixes how the diagonal rounds. Sorting the
+  // (col, value) run with the same comparator makes the same comparisons
+  // and moves, hence the same CSR bit for bit; summing in edge order
+  // instead moves coarse-level diagonals by an ulp.
+  struct Stamp {
+    Index col;
+    Real value;
+  };
+  const std::size_t n = static_cast<std::size_t>(num_nodes_);
+  std::vector<Index> run_ptr(n + 1, 0);
   for (const Edge& e : edges_) {
-    triplets.push_back({e.s, e.s, e.weight});
-    triplets.push_back({e.t, e.t, e.weight});
-    triplets.push_back({e.s, e.t, -e.weight});
-    triplets.push_back({e.t, e.s, -e.weight});
+    run_ptr[static_cast<std::size_t>(e.s) + 1] += 2;
+    run_ptr[static_cast<std::size_t>(e.t) + 1] += 2;
   }
-  // Isolated nodes still need an (empty) diagonal slot for factorization
-  // codes; a structural zero keeps the pattern square and complete.
-  for (Index i = 0; i < num_nodes_; ++i) triplets.push_back({i, i, 0.0});
-  return la::CsrMatrix::from_triplets(num_nodes_, num_nodes_, triplets);
+  for (std::size_t i = 0; i < n; ++i) run_ptr[i + 1] += run_ptr[i] + 1;
+
+  std::vector<Stamp> stamps(static_cast<std::size_t>(run_ptr[n]));
+  std::vector<Index> cursor(run_ptr.begin(), run_ptr.end() - 1);
+  for (const Edge& e : edges_) {
+    Index& ps = cursor[static_cast<std::size_t>(e.s)];
+    stamps[static_cast<std::size_t>(ps++)] = {e.s, e.weight};
+    stamps[static_cast<std::size_t>(ps++)] = {e.t, -e.weight};
+    Index& pt = cursor[static_cast<std::size_t>(e.t)];
+    stamps[static_cast<std::size_t>(pt++)] = {e.t, e.weight};
+    stamps[static_cast<std::size_t>(pt++)] = {e.s, -e.weight};
+  }
+  for (std::size_t i = 0; i < n; ++i)
+    stamps[static_cast<std::size_t>(cursor[i])] = {static_cast<Index>(i), 0.0};
+
+  // Sort each run, then compact it in place: the write position never
+  // passes the read position, so the runs need no second buffer.
+  std::vector<Index> row_ptr(n + 1, 0);
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto lo = stamps.begin() + run_ptr[i];
+    const auto hi = stamps.begin() + run_ptr[i + 1];
+    std::sort(lo, hi,
+              [](const Stamp& a, const Stamp& b) { return a.col < b.col; });
+    const std::size_t row_start = out;
+    for (auto it = lo; it != hi; ++it) {
+      if (out > row_start && stamps[out - 1].col == it->col)
+        stamps[out - 1].value += it->value;  // duplicate stamp: accumulate
+      else
+        stamps[out++] = *it;
+    }
+    row_ptr[i + 1] = static_cast<Index>(out);
+  }
+
+  std::vector<Index> col_idx(out);
+  std::vector<Real> values(out);
+  for (std::size_t k = 0; k < out; ++k) {
+    col_idx[k] = stamps[k].col;
+    values[k] = stamps[k].value;
+  }
+  return la::CsrMatrix(num_nodes_, num_nodes_, std::move(row_ptr),
+                       std::move(col_idx), std::move(values));
 }
 
 la::CsrMatrix Graph::adjacency() const {

@@ -4,8 +4,10 @@
 #include <cctype>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
+#include <string>
 
 namespace sgl::graph {
 
@@ -46,22 +48,57 @@ la::CsrMatrix read_matrix_market(const std::string& path) {
     if (!line.empty() && line[0] != '%') break;
   }
   std::istringstream size_line(line);
-  long rows = 0, cols = 0, nnz = 0;
+  long long rows = 0, cols = 0, nnz = 0;
   size_line >> rows >> cols >> nnz;
-  SGL_EXPECTS(rows > 0 && cols > 0 && nnz >= 0,
+  SGL_EXPECTS(!size_line.fail() && rows > 0 && cols > 0 && nnz >= 0,
               "read_matrix_market: bad size line");
+  constexpr long long kMaxIndex = std::numeric_limits<Index>::max();
+  SGL_EXPECTS(rows <= kMaxIndex && cols <= kMaxIndex,
+              "read_matrix_market: dimension exceeds the index range (" +
+                  std::to_string(kMaxIndex) + ")");
+  // rows · cols ≤ 2^62 after the check above, so the product cannot wrap.
+  SGL_EXPECTS(nnz <= rows * cols,
+              "read_matrix_market: more entries than the matrix has cells");
+  // CSR offsets are Index too; a symmetric off-diagonal stores two entries.
+  SGL_EXPECTS(nnz <= kMaxIndex / (symmetric ? 2 : 1),
+              "read_matrix_market: entry count exceeds the index range");
+
+  const auto entry = [&](long long k) {
+    return " (entry " + std::to_string(k + 1) + " of " + std::to_string(nnz) +
+           ")";
+  };
+  // End of input before a field is a truncated list; anything else that
+  // does not parse is a bad field. Skipping whitespace first keeps the two
+  // apart even when a bad token is the last thing in the file.
+  const auto expect_field = [&](long long k) {
+    in >> std::ws;
+    SGL_EXPECTS(!in.eof(),
+                "read_matrix_market: truncated entry list" + entry(k));
+  };
 
   std::vector<la::Triplet> triplets;
-  triplets.reserve(static_cast<std::size_t>(nnz) * (symmetric ? 2 : 1));
-  for (long k = 0; k < nnz; ++k) {
-    long i = 0, j = 0;
+  // A size line can claim far more entries than the file holds; reserve at
+  // most 1 Mi up front and let a longer list grow as it is read.
+  triplets.reserve(static_cast<std::size_t>(std::min(nnz, 1LL << 20)) *
+                   (symmetric ? 2 : 1));
+  for (long long k = 0; k < nnz; ++k) {
+    long long i = 0, j = 0;
     Real v = 1.0;
-    in >> i >> j;
-    if (!pattern) in >> v;
-    SGL_EXPECTS(in.good() || in.eof(),
-                "read_matrix_market: truncated entry list");
+    expect_field(k);
+    in >> i;
+    expect_field(k);
+    in >> j;
+    SGL_EXPECTS(!in.fail(),
+                "read_matrix_market: index is not an integer" + entry(k));
     SGL_EXPECTS(i >= 1 && i <= rows && j >= 1 && j <= cols,
-                "read_matrix_market: entry out of range");
+                "read_matrix_market: entry out of range" + entry(k));
+    if (!pattern) {
+      expect_field(k);
+      in >> v;
+      SGL_EXPECTS(!in.fail() && std::isfinite(v),
+                  "read_matrix_market: value is not a finite number" +
+                      entry(k));
+    }
     triplets.push_back({static_cast<Index>(i - 1), static_cast<Index>(j - 1), v});
     if (symmetric && i != j)
       triplets.push_back({static_cast<Index>(j - 1), static_cast<Index>(i - 1), v});

@@ -5,11 +5,16 @@
 // finite-element / circuit-stamping conventions.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
 #include "common/types.hpp"
 #include "la/vector_ops.hpp"
+
+namespace sgl::graph {
+class Graph;
+}  // namespace sgl::graph
 
 namespace sgl::la {
 
@@ -124,6 +129,15 @@ class CsrMatrix {
   std::vector<Index> col_idx_;  // size nnz
   std::vector<Real> values_;    // size nnz
 
+  /// Adopts finished CSR arrays (rows sorted and deduplicated by the
+  /// caller). Private: only assemblers that build the exact from_triplets
+  /// result row by row (Graph::laplacian) may skip the triplet pass.
+  CsrMatrix(Index rows, Index cols, std::vector<Index> row_ptr,
+            std::vector<Index> col_idx, std::vector<Real> values)
+      : rows_(rows), cols_(cols), row_ptr_(std::move(row_ptr)),
+        col_idx_(std::move(col_idx)), values_(std::move(values)) {}
+
+  friend class graph::Graph;
   friend CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b);
   friend CsrMatrix add(const CsrMatrix& a, const CsrMatrix& b, Real alpha,
                        Real beta);

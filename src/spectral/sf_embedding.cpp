@@ -8,6 +8,7 @@
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "eig/dense_eig.hpp"
 #include "graph/coarsening.hpp"
 #include "la/multi_vector.hpp"
@@ -19,33 +20,121 @@ namespace {
 /// thread: on coarse levels pool dispatch costs more than the sweep (with
 /// every level on the pool, the 4-thread loop ran slower than the
 /// 1-thread one). Purely a scheduling threshold — the smoothed block is
-/// bitwise the same either way; 32768 (a 4096-node level at the default
-/// 8 test vectors) measured best on the 128² mesh's hierarchy.
+/// bitwise the same either way. Re-measured for the fused sweep at the
+/// default 8 test vectors: inline and 4-thread sweeps tie near 3000 rows
+/// and the pool wins from 4096 rows on (DESIGN.md §6), so 32768 stays.
 constexpr std::int64_t kInlineSmoothWork = 32768;
 
-/// `sweeps` weighted-Jacobi sweeps X ← X − ω D⁻¹ (L X) on one level.
-/// `work` is a scratch block of the same shape. spmm and the column
-/// update are both deterministic for every thread count; levels below
-/// kInlineSmoothWork run inline.
-void jacobi_smooth(const graph::Graph& g, la::MultiVector& x,
-                   la::MultiVector& work, Index sweeps, Real omega,
-                   Index num_threads) {
-  const la::CsrMatrix lap = g.laplacian();
-  const la::Vector deg = g.weighted_degrees();
-  const Index n = x.rows();
-  const Index threads =
-      std::int64_t{n} * x.cols() < kInlineSmoothWork ? 1 : num_threads;
-  for (Index sweep = 0; sweep < sweeps; ++sweep) {
-    la::spmm(lap, x.view(), work.view(), threads);
-    parallel::parallel_for(0, x.cols(), threads, [&](Index c) {
-      auto xc = x.col(c);
-      const auto wc = work.col(c);
-      for (Index i = 0; i < n; ++i) {
-        const Real d = deg[static_cast<std::size_t>(i)];
-        if (d > 0.0) xc[i] -= omega * wc[i] / d;
-      }
-    });
+/// Row-major ping-pong buffers for jacobi_smooth, sized once for the
+/// finest level; coarser levels use a prefix.
+struct SmoothScratch {
+  la::Storage a;
+  la::Storage b;
+};
+
+/// One weighted-Jacobi row update on columns [j0, j0 + TILE) of a
+/// row-major block (stride t): dst_i = src_i − ω (L src)_i / d_i. (L src)_i
+/// is summed from zero in CSR order — exactly the la::spmm sum — and a row
+/// with d_i ≤ 0 is copied. The compile-time TILE keeps the accumulators in
+/// registers (the la::spmm idiom); src and dst are offset by j0.
+template <int TILE>
+void jacobi_row(const Index* SGL_RESTRICT cols, const Real* SGL_RESTRICT vals,
+                Index k_lo, Index k_hi, const Real* SGL_RESTRICT src,
+                Real* SGL_RESTRICT dst, std::size_t stride, std::size_t row,
+                Real d, Real omega) {
+  Real acc[TILE] = {};
+  for (Index k = k_lo; k < k_hi; ++k) {
+    const Real av = vals[k];
+    const Real* SGL_RESTRICT xr =
+        src + static_cast<std::size_t>(cols[k]) * stride;
+    for (int jj = 0; jj < TILE; ++jj) acc[jj] += av * xr[jj];
   }
+  const Real* SGL_RESTRICT xi = src + row * stride;
+  Real* SGL_RESTRICT yi = dst + row * stride;
+  if (d > 0.0) {
+    for (int jj = 0; jj < TILE; ++jj) yi[jj] = xi[jj] - omega * acc[jj] / d;
+  } else {
+    for (int jj = 0; jj < TILE; ++jj) yi[jj] = xi[jj];
+  }
+}
+
+/// `sweeps` weighted-Jacobi sweeps X ← X − ω D⁻¹ (L X) on one level whose
+/// Laplacian and weighted degrees the caller assembled once. X is packed
+/// row-major once, each sweep is one fused pass (gather L X, update) from
+/// one scratch buffer into the other, and the result is unpacked once.
+/// Every entry is the same fixed-order expression as the historical
+/// spmm-then-update formulation, so the block is bitwise identical to it
+/// for every thread count; levels below kInlineSmoothWork run inline.
+void jacobi_smooth(const la::CsrMatrix& lap, const la::Vector& deg,
+                   la::MultiVector& x, SmoothScratch& scratch, Index sweeps,
+                   Real omega, Index num_threads) {
+  const Index n = x.rows();
+  const Index t = x.cols();
+  const std::size_t stride = static_cast<std::size_t>(t);
+  const Index threads =
+      std::int64_t{n} * t < kInlineSmoothWork ? 1 : num_threads;
+  Real* src = scratch.a.data();
+  Real* dst = scratch.b.data();
+  Real* const xd = x.data().data();
+  const std::size_t ld = static_cast<std::size_t>(n);
+
+  parallel::parallel_for_slots(0, n, threads, [&](Index lo, Index hi, Index) {
+    for (Index i = lo; i < hi; ++i)
+      for (Index j = 0; j < t; ++j)
+        src[static_cast<std::size_t>(i) * stride + static_cast<std::size_t>(j)] =
+            xd[static_cast<std::size_t>(j) * ld + static_cast<std::size_t>(i)];
+  });
+
+  const Index* cols = lap.col_idx().data();
+  const Real* vals = lap.values().data();
+  const Index* row_ptr = lap.row_ptr().data();
+  for (Index sweep = 0; sweep < sweeps; ++sweep) {
+    parallel::parallel_for_slots(
+        0, n, threads, [&](Index lo, Index hi, Index) {
+          for (Index i = lo; i < hi; ++i) {
+            const Index k_lo = row_ptr[i];
+            const Index k_hi = row_ptr[i + 1];
+            const Real d = deg[static_cast<std::size_t>(i)];
+            const auto row = static_cast<std::size_t>(i);
+            Index j0 = 0;
+            for (; j0 + 8 <= t; j0 += 8)
+              jacobi_row<8>(cols, vals, k_lo, k_hi, src + j0, dst + j0,
+                            stride, row, d, omega);
+            if (j0 + 4 <= t) {
+              jacobi_row<4>(cols, vals, k_lo, k_hi, src + j0, dst + j0,
+                            stride, row, d, omega);
+              j0 += 4;
+            }
+            if (j0 + 2 <= t) {
+              jacobi_row<2>(cols, vals, k_lo, k_hi, src + j0, dst + j0,
+                            stride, row, d, omega);
+              j0 += 2;
+            }
+            if (j0 < t)
+              jacobi_row<1>(cols, vals, k_lo, k_hi, src + j0, dst + j0,
+                            stride, row, d, omega);
+          }
+        });
+    std::swap(src, dst);
+  }
+
+  parallel::parallel_for_slots(0, n, threads, [&](Index lo, Index hi, Index) {
+    for (Index j = 0; j < t; ++j)
+      for (Index i = lo; i < hi; ++i)
+        xd[static_cast<std::size_t>(j) * ld + static_cast<std::size_t>(i)] =
+            src[static_cast<std::size_t>(i) * stride + static_cast<std::size_t>(j)];
+  });
+}
+
+/// Assembles a level's Laplacian and weighted degrees (once per level)
+/// and smooths the block on it. Returns the Laplacian so the finest level
+/// can reuse it for the Rayleigh–Ritz projection.
+la::CsrMatrix smooth_level(const graph::Graph& level, la::MultiVector& x,
+                           SmoothScratch& scratch, const SfEmbeddingOptions& sf) {
+  la::CsrMatrix lap = level.laplacian();
+  jacobi_smooth(lap, level.weighted_degrees(), x, scratch, sf.smoother_sweeps,
+                sf.jacobi_weight, sf.num_threads);
+  return lap;
 }
 
 /// Deflates the constant nullspace and orthonormalizes the block by
@@ -117,9 +206,11 @@ Embedding compute_sf_embedding(const graph::Graph& g,
   la::MultiVector x(coarsest.num_nodes(), t);
   for (Real& v : x.data()) v = rng.normal();
 
-  la::MultiVector work(coarsest.num_nodes(), t);
-  jacobi_smooth(coarsest, x, work, sf.smoother_sweeps, sf.jacobi_weight,
-                threads);
+  // Sized for the finest level, the largest; coarser levels use a prefix.
+  SmoothScratch scratch;
+  scratch.a.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(t));
+  scratch.b.resize(scratch.a.size());
+  la::CsrMatrix lap = smooth_level(coarsest, x, scratch, sf);
   center_and_orthonormalize(x, threads);
   Index total_sweeps = sf.smoother_sweeps;
 
@@ -133,9 +224,7 @@ Embedding compute_sf_embedding(const graph::Graph& g,
     la::MultiVector fine_x(fine.num_nodes(), t);
     la::gather_rows(x.view(), map, fine_x.view(), threads);
     x = std::move(fine_x);
-    work = la::MultiVector(fine.num_nodes(), t);
-    jacobi_smooth(fine, x, work, sf.smoother_sweeps, sf.jacobi_weight,
-                  threads);
+    lap = smooth_level(fine, x, scratch, sf);
     center_and_orthonormalize(x, threads);
     total_sweeps += sf.smoother_sweeps;
   }
@@ -144,10 +233,12 @@ Embedding compute_sf_embedding(const graph::Graph& g,
   // orthonormal basis, a t × t dense eigenproblem. The Ritz values give
   // the eigenvalue scale the eq. 12 column weighting needs — this is what
   // lets the solver-free embedding rank edges interchangeably with the
-  // exact engine.
-  const la::CsrMatrix lap = g.laplacian();
-  la::spmm(lap, x.view(), work.view(), threads);
-  la::DenseMatrix t_mat = la::block_inner(x.view(), work.view(), threads);
+  // exact engine. The last level smoothed was g itself, so `lap` is its
+  // Laplacian.
+  // The smoothing scratch is free again and holds n × t entries.
+  const la::BlockView lx{scratch.a.data(), n, t};
+  la::spmm(lap, x.view(), lx, threads);
+  la::DenseMatrix t_mat = la::block_inner(x.view(), lx, threads);
   for (Index j = 0; j < t; ++j)
     for (Index i = 0; i < j; ++i) {
       const Real avg = 0.5 * (t_mat(i, j) + t_mat(j, i));

@@ -1,6 +1,12 @@
 // Unit tests for the core Graph type and its derived matrices.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "graph/coarsening.hpp"
+#include "graph/generators.hpp"
 #include "graph/graph.hpp"
 
 namespace sgl::graph {
@@ -97,6 +103,83 @@ TEST(Graph, IsolatedNodesKeepDiagonalSlot) {
   EXPECT_DOUBLE_EQ(lap.at(2, 2), 0.0);
   // Structural slot exists even though the value is zero.
   EXPECT_EQ(lap.row_ptr()[3] - lap.row_ptr()[2], 1);
+}
+
+// The historical Laplacian assembly: per edge (s,s,w), (t,t,w), (s,t,−w),
+// (t,s,−w), then a structural-zero diagonal per node, through
+// from_triplets. Graph::laplacian() fills CSR rows directly and must give
+// the same matrix bit for bit, including how each diagonal sum rounds.
+la::CsrMatrix laplacian_from_triplets(const Graph& g) {
+  std::vector<la::Triplet> triplets;
+  for (const Edge& e : g.edges()) {
+    triplets.push_back({e.s, e.s, e.weight});
+    triplets.push_back({e.t, e.t, e.weight});
+    triplets.push_back({e.s, e.t, -e.weight});
+    triplets.push_back({e.t, e.s, -e.weight});
+  }
+  for (Index i = 0; i < g.num_nodes(); ++i) triplets.push_back({i, i, 0.0});
+  return la::CsrMatrix::from_triplets(g.num_nodes(), g.num_nodes(), triplets);
+}
+
+void expect_laplacian_matches_triplets(const Graph& g) {
+  const la::CsrMatrix got = g.laplacian();
+  const la::CsrMatrix want = laplacian_from_triplets(g);
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  ASSERT_EQ(got.row_ptr(), want.row_ptr());
+  ASSERT_EQ(got.col_idx(), want.col_idx());
+  ASSERT_EQ(got.values().size(), want.values().size());
+  if (got.values().empty()) return;  // memcmp must not see null pointers
+  EXPECT_EQ(std::memcmp(got.values().data(), want.values().data(),
+                        got.values().size() * sizeof(Real)),
+            0);
+}
+
+// Same edges, seeded non-integer weights: with unit weights every sum is
+// exact and the summation order would not show.
+Graph reweighted(const Graph& g, std::uint64_t seed) {
+  Rng rng(seed);
+  Graph out(g.num_nodes());
+  for (const Edge& e : g.edges())
+    out.add_edge(e.s, e.t, rng.uniform(0.01, 100.0));
+  return out;
+}
+
+TEST(Graph, LaplacianMatchesTripletAssemblyOnHubs) {
+  // A run holds 2·deg + 1 entries, so from degree 8 from_triplets' sort is
+  // the unstable introsort; the star hub and every complete-graph row
+  // take that path.
+  expect_laplacian_matches_triplets(reweighted(make_star(2001), 1));
+  expect_laplacian_matches_triplets(reweighted(make_complete(60), 2));
+  for (const Index n : {8, 9, 10, 17}) {
+    SCOPED_TRACE(n);
+    expect_laplacian_matches_triplets(reweighted(make_star(n), 3));
+  }
+}
+
+TEST(Graph, LaplacianMatchesTripletAssemblyOnMeshHierarchy) {
+  // Coarse levels of a mesh sum fine edges into heavy parallel stamps and
+  // raise the degree level by level.
+  const Graph mesh = reweighted(make_grid2d(64, 64).graph, 4);
+  expect_laplacian_matches_triplets(mesh);
+  const CoarseningHierarchy h = build_coarsening_hierarchy(mesh, 20);
+  ASSERT_GT(h.num_levels(), 2);
+  for (const HierarchyLevel& level : h.levels) {
+    SCOPED_TRACE(level.graph.num_nodes());
+    expect_laplacian_matches_triplets(level.graph);
+  }
+}
+
+TEST(Graph, LaplacianMatchesTripletAssemblyWithIsolatedNodes) {
+  Graph g(12);
+  Rng rng(5);
+  // Parallel edges onto one hub (degree ≥ 8) and two isolated nodes (10, 11).
+  for (Index k = 0; k < 14; ++k)
+    g.add_edge(0, 1 + k % 9, rng.uniform(0.1, 10.0));
+  g.add_edge(3, 4, 0.7);
+  expect_laplacian_matches_triplets(g);
+  expect_laplacian_matches_triplets(Graph(5));
+  expect_laplacian_matches_triplets(Graph(0));
 }
 
 TEST(Graph, AdjacencyMatrix) {

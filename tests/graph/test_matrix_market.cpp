@@ -21,6 +21,23 @@ class MatrixMarketTest : public ::testing::Test {
     std::ofstream out(path);
     out << content;
   }
+
+  // Writes `content`, reads it back, and checks the read fails at the
+  // boundary as a typed invalid-argument error whose message names the
+  // problem (`expected` is a substring of what()).
+  void expect_rejected(const std::string& name, const std::string& content,
+                       const std::string& expected) {
+    const std::string path = temp_path(name);
+    write_file(path, content);
+    try {
+      (void)read_matrix_market(path);
+      ADD_FAILURE() << name << ": read succeeded";
+    } catch (const ContractViolation& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << name;
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << name << ": " << e.what();
+    }
+  }
 };
 
 TEST_F(MatrixMarketTest, ReadsGeneralRealCoordinate) {
@@ -119,6 +136,76 @@ TEST_F(MatrixMarketTest, EntryOutOfRangeThrows) {
              "2 2 1\n"
              "3 1 1.0\n");
   EXPECT_THROW(read_matrix_market(path), ContractViolation);
+}
+
+TEST_F(MatrixMarketTest, FewerEntriesThanSizeLineIsTruncation) {
+  expect_rejected("short.mtx",
+                  "%%MatrixMarket matrix coordinate real general\n"
+                  "2 2 3\n"
+                  "1 1 1.0\n"
+                  "2 2 1.0\n",
+                  "truncated entry list (entry 3 of 3)");
+  // Cut mid-entry: the index pair is there, the value is not.
+  expect_rejected("short_value.mtx",
+                  "%%MatrixMarket matrix coordinate real general\n"
+                  "2 2 2\n"
+                  "1 1 1.0\n"
+                  "2 2\n",
+                  "truncated entry list (entry 2 of 2)");
+}
+
+TEST_F(MatrixMarketTest, NonFiniteValuesAreRejectedPerEntry) {
+  for (const std::string value : {"nan", "inf", "-inf", "1e400"}) {
+    expect_rejected("nonfinite.mtx",
+                    "%%MatrixMarket matrix coordinate real general\n"
+                    "2 2 2\n"
+                    "1 1 1.0\n"
+                    "2 1 " + value + "\n",
+                    "value is not a finite number (entry 2 of 2)");
+    // The same token as the last bytes of the file (no newline) is still
+    // a bad value, not a truncation.
+    expect_rejected("nonfinite_eof.mtx",
+                    "%%MatrixMarket matrix coordinate real general\n"
+                    "2 2 1\n"
+                    "2 1 " + value,
+                    "value is not a finite number (entry 1 of 1)");
+  }
+}
+
+TEST_F(MatrixMarketTest, HugeEntryCountIsRejectedAtSizeLine) {
+  // Used to reach vector::reserve and escape as std::length_error.
+  expect_rejected("huge_nnz.mtx",
+                  "%%MatrixMarket matrix coordinate real symmetric\n"
+                  "3 3 4000000000000000000\n"
+                  "1 1 1.0\n",
+                  "more entries than the matrix has cells");
+  // Within rows · cols but past what Index-based CSR offsets can hold.
+  expect_rejected("index_nnz.mtx",
+                  "%%MatrixMarket matrix coordinate real general\n"
+                  "100000 100000 3000000000\n",
+                  "entry count exceeds the index range");
+}
+
+TEST_F(MatrixMarketTest, OversizeDimensionsAreRejectedAtSizeLine) {
+  // Used to narrow silently into the 32-bit Index.
+  expect_rejected("huge_rows.mtx",
+                  "%%MatrixMarket matrix coordinate real general\n"
+                  "4294967297 2 1\n"
+                  "1 1 1.0\n",
+                  "dimension exceeds the index range");
+  expect_rejected("huge_cols.mtx",
+                  "%%MatrixMarket matrix coordinate real general\n"
+                  "2 2147483648 1\n"
+                  "1 1 1.0\n",
+                  "dimension exceeds the index range");
+}
+
+TEST_F(MatrixMarketTest, NonIntegerIndexIsRejected) {
+  expect_rejected("bad_index.mtx",
+                  "%%MatrixMarket matrix coordinate real general\n"
+                  "2 2 1\n"
+                  "1 x 1.0\n",
+                  "index is not an integer (entry 1 of 1)");
 }
 
 TEST_F(MatrixMarketTest, GraphFromMatrixRequiresSquare) {
