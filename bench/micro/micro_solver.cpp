@@ -170,40 +170,6 @@ void BM_CholeskySolveMesh(benchmark::State& state) {
 }
 BENCHMARK(BM_CholeskySolveMesh)->Unit(benchmark::kMicrosecond);
 
-void BM_CholeskyUpdateEdge(benchmark::State& state) {
-  // Rank-1 update/downdate along the elimination-tree path (DESIGN.md
-  // §8): the in-place alternative to refactoring after one edge change.
-  // Alternating +w/−w stamps keep the factor at its starting values, so
-  // every iteration exercises the same path length.
-  const la::CsrMatrix a =
-      ultra_sparse_matrix(static_cast<Index>(state.range(0)));
-  solver::CholeskySolver chol(a, solver::OrderingMethod::kMinimumDegree);
-  // First off-diagonal entry at mid-matrix: an existing edge (always in
-  // pattern) whose etree path is representative, not a leaf stub.
-  Index u = kInvalidIndex;
-  Index v = kInvalidIndex;
-  for (Index i = a.rows() / 2; i < a.rows() && u == kInvalidIndex; ++i)
-    for (Index p = a.row_ptr()[static_cast<std::size_t>(i)];
-         p < a.row_ptr()[static_cast<std::size_t>(i) + 1]; ++p)
-      if (a.col_idx()[static_cast<std::size_t>(p)] > i) {
-        u = i;
-        v = a.col_idx()[static_cast<std::size_t>(p)];
-        break;
-      }
-  const Real w = 0.5;
-  bool add = true;
-  for (auto _ : state) {
-    chol.update_edge(u, v, add ? w : -w);
-    add = !add;
-    benchmark::DoNotOptimize(chol.stats().updates_applied);
-  }
-  state.counters["n"] = static_cast<double>(a.rows());
-}
-BENCHMARK(BM_CholeskyUpdateEdge)
-    ->Arg(64)
-    ->Arg(128)
-    ->Unit(benchmark::kMicrosecond);
-
 // Rows are registered by name, not by a numeric Arg, so no row can share
 // a name with a committed baseline row of a retired preconditioner.
 void BM_PcgMesh(benchmark::State& state, bool use_amg) {

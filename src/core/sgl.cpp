@@ -210,10 +210,10 @@ SglResult SglLearner::finalize(const la::DenseMatrix* y) const {
 
   if (y != nullptr && config_.edge_scaling) {
     const WallTimer timer;
-    // Routed through the learner's context: in the incremental modes the
-    // scaling solves reuse the warm factorization of the last iteration's
-    // embedding (updated in place for any edges added since); in kOff the
-    // context builds fresh, exactly as this call always did.
+    // Routed through the learner's context: in kAuto the scaling solves
+    // reuse the warm factorization of the last iteration's embedding, or
+    // rebuild it on the cached ordering if edges were added since; in
+    // kOff the context builds fresh, exactly as this call always did.
     result.scale_factor = apply_spectral_edge_scaling(
         result.learned, x_, *y, *context_, config_.num_threads);
     result.learn_seconds += timer.seconds();

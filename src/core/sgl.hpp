@@ -60,13 +60,12 @@ struct SglConfig {
   /// Incremental-relearning mode of the learner's SolverContext
   /// (DESIGN.md §8). kOff (the default) rebuilds every solver from
   /// scratch exactly as before this knob existed — bitwise-identical
-  /// results. kOn/kAuto keep ONE warm factorization across step() calls,
-  /// apply each added edge as a rank-1 update, and warm-start the exact
-  /// engine's Lanczos from the previous iteration's eigenvectors; kAuto
-  /// additionally renumerates on the context's accumulation thresholds.
-  /// Determinism is per mode: an incremental run is bitwise-reproducible
-  /// across thread counts, but may differ from a kOff run in floating
-  /// point. CLI: `sgl_learn --incremental {auto,on,off}`.
+  /// results. kAuto keeps the warm solver while the graph is unchanged,
+  /// rebuilds on the cached fill-reducing ordering once edges are added,
+  /// and warm-starts the exact engine's Lanczos from the previous
+  /// iteration's eigenvectors. Determinism is per mode: a kAuto run is
+  /// bitwise-reproducible across thread counts, but may differ from a
+  /// kOff run in floating point. CLI: `sgl_learn --incremental {auto,off}`.
   solver::IncrementalMode incremental = solver::IncrementalMode::kOff;
   /// Optional per-iteration observer (progress logging in benches).
   std::function<void(Index iteration, Real smax, Index edges_added)> observer;

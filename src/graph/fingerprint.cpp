@@ -15,26 +15,21 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
-}  // namespace
-
-std::uint64_t endpoint_fingerprint(const Graph& g, std::size_t count) {
-  SGL_EXPECTS(count <= g.edges().size(),
-              "endpoint_fingerprint: count exceeds edge list");
+/// Digest over the endpoints of every edge (pattern identity).
+std::uint64_t endpoint_fingerprint(const Graph& g) {
   std::uint64_t h = kFnvOffset;
-  for (std::size_t i = 0; i < count; ++i) {
-    const Edge& e = g.edges()[i];
+  for (const Edge& e : g.edges()) {
     fnv_mix(h, static_cast<std::uint64_t>(e.s));
     fnv_mix(h, static_cast<std::uint64_t>(e.t));
   }
   return h;
 }
 
-std::uint64_t weight_fingerprint(const Graph& g, std::size_t count) {
-  SGL_EXPECTS(count <= g.edges().size(),
-              "weight_fingerprint: count exceeds edge list");
+/// Digest over the endpoints AND weight bit patterns of every edge
+/// (numeric identity).
+std::uint64_t weight_fingerprint(const Graph& g) {
   std::uint64_t h = kFnvOffset;
-  for (std::size_t i = 0; i < count; ++i) {
-    const Edge& e = g.edges()[i];
+  for (const Edge& e : g.edges()) {
     fnv_mix(h, static_cast<std::uint64_t>(e.s));
     fnv_mix(h, static_cast<std::uint64_t>(e.t));
     fnv_mix(h, std::bit_cast<std::uint64_t>(e.weight));
@@ -42,10 +37,11 @@ std::uint64_t weight_fingerprint(const Graph& g, std::size_t count) {
   return h;
 }
 
+}  // namespace
+
 GraphKey graph_key(const Graph& g) {
-  const std::size_t count = g.edges().size();
-  return {g.num_nodes(), g.num_edges(), endpoint_fingerprint(g, count),
-          weight_fingerprint(g, count)};
+  return {g.num_nodes(), g.num_edges(), endpoint_fingerprint(g),
+          weight_fingerprint(g)};
 }
 
 }  // namespace sgl::graph

@@ -1,31 +1,20 @@
 // FNV-1a graph fingerprints (DESIGN.md §8, §10).
 //
-// Two 64-bit digests over a graph's (append-only) edge list identify a
-// graph without storing it: the endpoint fingerprint hashes the edge
-// pattern, the weight fingerprint additionally hashes every weight's bit
-// pattern (numeric identity — two graphs with equal weight fingerprints
-// produce bitwise-identical Laplacians). SolverContext uses prefix
-// fingerprints to recognize "edges appended" / "weights rescaled"; the
-// serving tier keys its factorization LRU on the full-graph GraphKey.
+// A GraphKey identifies a graph state without storing it: node and edge
+// counts plus two 64-bit digests over the edge list — one over the
+// endpoints (pattern identity), one over the endpoints and every weight's
+// bit pattern (numeric identity: two graphs with equal weight digests
+// produce bitwise-identical Laplacians). SolverContext hands back its
+// warm solver when the key is unchanged; the serving tier keys its
+// factorization LRU on the same key.
 #pragma once
 
 #include <compare>
-#include <cstddef>
 #include <cstdint>
 
 #include "graph/graph.hpp"
 
 namespace sgl::graph {
-
-/// FNV-1a over the endpoints of the first `count` edges (pattern
-/// identity). `count` must not exceed g.num_edges().
-[[nodiscard]] std::uint64_t endpoint_fingerprint(const Graph& g,
-                                                 std::size_t count);
-
-/// FNV-1a over endpoints AND weight bit patterns of the first `count`
-/// edges (numeric identity).
-[[nodiscard]] std::uint64_t weight_fingerprint(const Graph& g,
-                                               std::size_t count);
 
 /// Full identity of one graph state: node/edge counts plus both digests.
 /// Totally ordered so deterministic containers (std::map) can key on it.

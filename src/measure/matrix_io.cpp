@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "common/contracts.hpp"
 
@@ -37,20 +41,46 @@ la::DenseMatrix read_dense_matrix_market(const std::string& path) {
     if (!line.empty() && line[0] != '%') break;
   }
   std::istringstream size_line(line);
-  long rows = 0, cols = 0;
+  long long rows = 0, cols = 0;
   size_line >> rows >> cols;
-  SGL_EXPECTS(rows > 0 && cols > 0, "read_dense_matrix_market: bad size line");
+  SGL_EXPECTS(!size_line.fail() && rows > 0 && cols > 0,
+              "read_dense_matrix_market: bad size line");
+  constexpr long long kMaxIndex = std::numeric_limits<Index>::max();
+  SGL_EXPECTS(rows <= kMaxIndex && cols <= kMaxIndex,
+              "read_dense_matrix_market: dimension exceeds the index range (" +
+                  std::to_string(kMaxIndex) + ")");
+  // rows · cols ≤ 2^62 after the check above, so the product cannot wrap.
+  const long long count = rows * cols;
+  SGL_EXPECTS(count <= kMaxIndex,
+              "read_dense_matrix_market: rows x cols exceeds the index "
+              "range (" + std::to_string(kMaxIndex) + ")");
 
-  la::DenseMatrix m(static_cast<Index>(rows), static_cast<Index>(cols));
-  for (Index j = 0; j < m.cols(); ++j) {
-    for (Index i = 0; i < m.rows(); ++i) {
-      Real v = 0.0;
-      in >> v;
-      SGL_EXPECTS(!in.fail(), "read_dense_matrix_market: truncated data");
-      m(i, j) = v;
-    }
+  const auto entry = [&](long long k) {
+    return " (entry " + std::to_string(k + 1) + " of " +
+           std::to_string(count) + ")";
+  };
+  // The entries land in a buffer that grows as they are read: a size line
+  // can claim far more cells than the file holds, so at most 1 Mi are
+  // reserved up front and a short file fails as truncated before the
+  // claimed size is ever allocated.
+  la::Storage data;
+  data.reserve(static_cast<std::size_t>(std::min(count, 1LL << 20)));
+  for (long long k = 0; k < count; ++k) {
+    // End of input before a value is truncation; anything else that does
+    // not parse (nan, inf, 1e400, text) is a bad value. Skipping
+    // whitespace first keeps the two apart even for the file's last token.
+    in >> std::ws;
+    SGL_EXPECTS(!in.eof(), "read_dense_matrix_market: truncated data" + entry(k));
+    Real v = 0.0;
+    in >> v;
+    SGL_EXPECTS(!in.fail() && std::isfinite(v),
+                "read_dense_matrix_market: value is not a finite number" +
+                    entry(k));
+    data.push_back(v);
   }
-  return m;
+  return la::DenseMatrix::from_storage(static_cast<Index>(rows),
+                                       static_cast<Index>(cols),
+                                       std::move(data));
 }
 
 void write_dense_matrix_market(const la::DenseMatrix& m,

@@ -12,7 +12,12 @@
 namespace sgl::measure {
 
 /// Reads a "%%MatrixMarket matrix array real general" file (column-major
-/// entry order, as the format prescribes).
+/// entry order, as the format prescribes). Throws ContractViolation
+/// (kInvalidArgument) for a size line outside the Index range (rows,
+/// cols or rows·cols), an entry that is not a finite number ("value is
+/// not a finite number (entry k of N)") and a file that ends early
+/// ("truncated data (entry k of N)"); nothing is allocated from the size
+/// line before the entries are read.
 [[nodiscard]] la::DenseMatrix read_dense_matrix_market(const std::string& path);
 
 /// Writes in the same format with full double precision.

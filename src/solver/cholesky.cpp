@@ -1,7 +1,6 @@
 #include "solver/cholesky.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "common/contracts.hpp"
@@ -21,12 +20,6 @@ namespace {
 /// the values are identical either way.
 constexpr std::int64_t kParallelWork = 32768;
 
-// Relative floor for downdated pivots: a downdate to an exactly singular
-// matrix rounds the pivot to ~machine-epsilon × its old value, which can
-// land on either side of zero. Any legitimate downdate leaves far more
-// than 1e-12 of the pivot behind.
-constexpr Real kDowndatePivotFloor = 1e-12;
-
 }  // namespace
 
 CholeskySolver::CholeskySolver(const la::CsrMatrix& a, OrderingMethod ordering,
@@ -39,7 +32,6 @@ CholeskySolver::CholeskySolver(const la::CsrMatrix& a, OrderingMethod ordering,
   stats_.input_nnz = a.nnz();
 
   perm_ = compute_ordering(a, ordering);
-  inv_perm_ = invert_permutation(perm_);
   const la::CsrMatrix pa = permute_symmetric(a, perm_);
 
   analyze(pa);
@@ -59,7 +51,6 @@ CholeskySolver::CholeskySolver(const la::CsrMatrix& a, std::vector<Index> perm,
   stats_.input_nnz = a.nnz();
 
   perm_ = std::move(perm);
-  inv_perm_ = invert_permutation(perm_);
   const la::CsrMatrix pa = permute_symmetric(a, perm_);
 
   analyze(pa);
@@ -75,9 +66,8 @@ void CholeskySolver::analyze(const la::CsrMatrix& pa) {
   // --- Elimination tree and per-column factor counts. -------------------
   // Row k of the (symmetric) matrix restricted to indices < k is the
   // pattern of column k of the upper factor; walking each entry up the
-  // elimination tree enumerates the columns it updates. The tree is kept
-  // (parent_) for the lifetime of the solver: update_edge walks it.
-  parent_.assign(un, kInvalidIndex);
+  // elimination tree enumerates the columns it updates.
+  std::vector<Index> parent(un, kInvalidIndex);
   std::vector<Index> flag(un, kInvalidIndex);
   std::vector<Index> l_nnz(un, 0);
   for (Index k = 0; k < n_; ++k) {
@@ -87,9 +77,9 @@ void CholeskySolver::analyze(const la::CsrMatrix& pa) {
       Index i = ci[static_cast<std::size_t>(p)];
       if (i >= k) continue;
       for (; flag[static_cast<std::size_t>(i)] != k;
-           i = parent_[static_cast<std::size_t>(i)]) {
-        if (parent_[static_cast<std::size_t>(i)] == kInvalidIndex)
-          parent_[static_cast<std::size_t>(i)] = k;
+           i = parent[static_cast<std::size_t>(i)]) {
+        if (parent[static_cast<std::size_t>(i)] == kInvalidIndex)
+          parent[static_cast<std::size_t>(i)] = k;
         ++l_nnz[static_cast<std::size_t>(i)];
         flag[static_cast<std::size_t>(i)] = k;
       }
@@ -118,7 +108,7 @@ void CholeskySolver::analyze(const la::CsrMatrix& pa) {
       Index i = ci[static_cast<std::size_t>(p)];
       if (i >= k) continue;
       for (; flag[static_cast<std::size_t>(i)] != k;
-           i = parent_[static_cast<std::size_t>(i)]) {
+           i = parent[static_cast<std::size_t>(i)]) {
         l_row_idx_[static_cast<std::size_t>(
             next_slot[static_cast<std::size_t>(i)]++)] = k;
         flag[static_cast<std::size_t>(i)] = k;
@@ -154,14 +144,14 @@ void CholeskySolver::analyze(const la::CsrMatrix& pa) {
   // trailing triangle of a mesh factor) never fragments into n levels.
   std::vector<Index> num_children(un, 0);
   for (Index j = 0; j < n_; ++j) {
-    if (parent_[static_cast<std::size_t>(j)] != kInvalidIndex)
-      ++num_children[static_cast<std::size_t>(parent_[static_cast<std::size_t>(j)])];
+    if (parent[static_cast<std::size_t>(j)] != kInvalidIndex)
+      ++num_children[static_cast<std::size_t>(parent[static_cast<std::size_t>(j)])];
   }
   super_ptr_.clear();
   super_ptr_.push_back(0);
   std::vector<Index> super_of(un, 0);
   for (Index j = 1; j < n_; ++j) {
-    const bool chains = parent_[static_cast<std::size_t>(j) - 1] == j &&
+    const bool chains = parent[static_cast<std::size_t>(j) - 1] == j &&
                         num_children[static_cast<std::size_t>(j)] == 1;
     if (!chains) super_ptr_.push_back(j);
     super_of[static_cast<std::size_t>(j)] = to_index(super_ptr_.size()) - 1;
@@ -176,7 +166,7 @@ void CholeskySolver::analyze(const la::CsrMatrix& pa) {
   // target block's first column, so one ascending pass suffices.
   std::vector<Index> level(static_cast<std::size_t>(nsuper), 0);
   for (Index j = 0; j < n_; ++j) {
-    const Index pj = parent_[static_cast<std::size_t>(j)];
+    const Index pj = parent[static_cast<std::size_t>(j)];
     if (pj == kInvalidIndex) continue;
     const Index s = super_of[static_cast<std::size_t>(j)];
     const Index sp = super_of[static_cast<std::size_t>(pj)];
@@ -759,135 +749,6 @@ void CholeskySolver::rebuild_row_positions() {
   }
 }
 
-void CholeskySolver::ensure_update_support() {
-  if (!csc_to_row_.empty() || l_row_idx_.empty()) return;
-  // Inverse of r_val_pos_ (p → q): lets update_edge refresh the streamed
-  // row-mirror values in place for each CSC entry it touches.
-  csc_to_row_.resize(l_row_idx_.size());
-  std::vector<Index> row_next(r_row_ptr_.begin(), r_row_ptr_.end() - 1);
-  for (Index j = 0; j < n_; ++j) {
-    for (Index p = l_col_ptr_[static_cast<std::size_t>(j)];
-         p < l_col_ptr_[static_cast<std::size_t>(j) + 1]; ++p) {
-      const Index i = l_row_idx_[static_cast<std::size_t>(p)];
-      csc_to_row_[static_cast<std::size_t>(p)] =
-          row_next[static_cast<std::size_t>(i)]++;
-    }
-  }
-}
-
-bool CholeskySolver::edge_in_pattern(Index u, Index v) const {
-  SGL_EXPECTS(u >= 0 && u < n_, "edge_in_pattern: u out of range");
-  if (v == kInvalidIndex) return true;  // diagonal stamp: no off-diagonal
-  SGL_EXPECTS(v >= 0 && v < n_ && v != u, "edge_in_pattern: bad v");
-  Index a = inv_perm_[static_cast<std::size_t>(u)];
-  Index b = inv_perm_[static_cast<std::size_t>(v)];
-  if (a > b) std::swap(a, b);
-  // By the etree containment invariant pattern(L_{:,j}) \ {parent(j)} ⊆
-  // pattern(L_{:,parent(j)}), L(b,a) ≠ 0 structurally implies the whole
-  // update path from a toward the root stays inside the pattern.
-  const auto begin = l_row_idx_.begin() + l_col_ptr_[static_cast<std::size_t>(a)];
-  const auto end = l_row_idx_.begin() + l_col_ptr_[static_cast<std::size_t>(a) + 1];
-  return std::binary_search(begin, end, b);
-}
-
-bool CholeskySolver::rank1_pass(Index j0, Real sigma, bool commit,
-                                std::vector<Real>& work,
-                                std::vector<Index>& touched) {
-  // Bennett/Gill-style rank-1 LDLᵀ modification restricted to the etree
-  // path: Ā = LDLᵀ + σ x xᵀ with x scattered in `work`. Every iterate
-  // uses OLD L values to advance the x-vector and writes NEW L values
-  // from it, so the non-commit pass can run the identical float sequence
-  // against a scratch copy of nothing but the path values.
-  Real alpha = 1.0;
-  bool ok = true;
-  for (Index j = j0; j != kInvalidIndex;
-       j = parent_[static_cast<std::size_t>(j)]) {
-    const Real p = work[static_cast<std::size_t>(j)];
-    if (p == 0.0) continue;
-    work[static_cast<std::size_t>(j)] = 0.0;
-    const Real dj = d_[static_cast<std::size_t>(j)];
-    const Real d_new = dj + sigma * alpha * p * p;
-    // An update (σ = +1) keeps every pivot positive; a downdate that makes
-    // the matrix exactly singular leaves only cancellation residue in the
-    // pivot — a few ulps of d_j of either sign — so downdates use a
-    // relative floor instead of a sign test.
-    const Real pivot_floor = sigma < 0.0 ? dj * kDowndatePivotFloor : 0.0;
-    if (!(d_new > pivot_floor)) {
-      ok = false;
-      break;
-    }
-    const Real beta = sigma * alpha * p / d_new;
-    alpha = alpha * dj / d_new;
-    if (commit) d_[static_cast<std::size_t>(j)] = d_new;
-    for (Index q = l_col_ptr_[static_cast<std::size_t>(j)];
-         q < l_col_ptr_[static_cast<std::size_t>(j) + 1]; ++q) {
-      const Index i = l_row_idx_[static_cast<std::size_t>(q)];
-      const Real lij = l_values_[static_cast<std::size_t>(q)];
-      const Real wi = work[static_cast<std::size_t>(i)] - p * lij;
-      work[static_cast<std::size_t>(i)] = wi;
-      touched.push_back(i);
-      if (commit) {
-        const Real l_new = lij + beta * wi;
-        l_values_[static_cast<std::size_t>(q)] = l_new;
-        r_values_[static_cast<std::size_t>(
-            csc_to_row_[static_cast<std::size_t>(q)])] = l_new;
-      }
-    }
-  }
-  // Reset the scratch to all-zero for the next pass/caller. `touched` may
-  // hold duplicates; zeroing twice is harmless.
-  for (const Index i : touched) work[static_cast<std::size_t>(i)] = 0.0;
-  touched.clear();
-  return ok;
-}
-
-void CholeskySolver::update_edge(Index u, Index v, Real w) {
-  SGL_EXPECTS(w != 0.0, "update_edge: zero weight");
-  SGL_EXPECTS(u >= 0 && u < n_, "update_edge: u out of range");
-  SGL_EXPECTS(v == kInvalidIndex || (v >= 0 && v < n_ && v != u),
-              "update_edge: bad v");
-  SGL_EXPECTS(edge_in_pattern(u, v),
-              "update_edge: edge outside the analyzed factor pattern");
-  ensure_update_support();
-
-  const Real sigma = w > 0.0 ? 1.0 : -1.0;
-  const Real scale = std::sqrt(std::abs(w));
-  const Index a = inv_perm_[static_cast<std::size_t>(u)];
-  const Index b =
-      v == kInvalidIndex ? kInvalidIndex : inv_perm_[static_cast<std::size_t>(v)];
-
-  std::vector<Real> work(static_cast<std::size_t>(n_), 0.0);
-  std::vector<Index> touched;
-  const auto scatter = [&] {
-    work[static_cast<std::size_t>(a)] = scale;
-    touched.push_back(a);
-    if (b != kInvalidIndex) {
-      work[static_cast<std::size_t>(b)] = -scale;
-      touched.push_back(b);
-    }
-  };
-  const Index j0 = (b != kInvalidIndex && b < a) ? b : a;
-
-  if (sigma < 0.0) {
-    // Downdates can drive a pivot non-positive mid-path; validate the
-    // whole path first so a failure never leaves a half-updated factor.
-    scatter();
-    if (!rank1_pass(j0, sigma, /*commit=*/false, work, touched)) {
-      throw NumericalError(
-          "CholeskySolver::update_edge: downdate at edge (" +
-              std::to_string(u) + ", " + std::to_string(v) +
-              ") makes the matrix non-positive-definite — factor unchanged",
-          ErrorCode::kNonPositivePivot);
-    }
-  }
-  scatter();
-  const bool committed = rank1_pass(j0, sigma, /*commit=*/true, work, touched);
-  SGL_ASSERT(committed,
-             "update_edge: commit pass diverged from validation pass");
-  static_cast<void>(committed);
-  ++stats_.updates_applied;
-}
-
 void CholeskySolver::refactorize(const la::CsrMatrix& a, Index num_threads) {
   SGL_EXPECTS(a.rows() == n_ && a.cols() == n_,
               "CholeskySolver::refactorize: size mismatch");
@@ -919,7 +780,6 @@ void CholeskySolver::refactorize(const la::CsrMatrix& a, Index num_threads) {
   for (std::size_t q = 0; q < r_values_.size(); ++q)
     r_values_[q] = l_values_[static_cast<std::size_t>(r_val_pos_[q])];
   std::vector<Index>().swap(r_val_pos_);
-  ++stats_.refactorizations;
   stats_.factor_seconds = timer.seconds();
 }
 

@@ -86,12 +86,6 @@ struct FactorStats {
   /// the rest factor inline on the calling thread (DESIGN.md §4).
   Index pool_levels = 0;
   double factor_seconds = 0.0;
-  /// Rank-1 update_edge() calls applied in place since construction
-  /// (cumulative; a refactorize() does not reset it).
-  Index updates_applied = 0;
-  /// Numeric-only renumerations (refactorize() with kept symbolic
-  /// analysis) since construction.
-  Index refactorizations = 0;
   /// Fundamental dense panels (width ≥ 1; a refinement of the chain
   /// blocks — every column belongs to exactly one panel).
   Index num_panels = 0;
@@ -152,47 +146,14 @@ class CholeskySolver {
     return perm_;
   }
 
-  // --- Incremental maintenance (DESIGN.md §8) ----------------------------
-  //
-  // The factor can track a matrix that changes by Laplacian edge stamps
-  // without paying a fresh symbolic + numeric factorization:
-  //
-  //   update_edge   — sparse rank-1 update/downdate along the elimination-
-  //                   tree path (Davis/Hager style): O(path pattern) work.
-  //   refactorize   — numeric-only renumeration with the KEPT symbolic
-  //                   analysis (etree, pattern, supernodes, level sets):
-  //                   O(factor flops) but no analysis cost.
-  //
-  // An updated factor is a factorization of the updated matrix to rounding
-  // accuracy, but its floats may differ from a from-scratch factorization
-  // of the same matrix; determinism is per-mode (see DESIGN.md §8).
-
-  /// True when the Laplacian edge stamp on rows {u, v} of the ORIGINAL
-  /// (unpermuted) matrix stays inside the analyzed factor pattern, so
-  /// update_edge can apply it in place. `v == kInvalidIndex` queries the
-  /// single-diagonal stamp w·e_u e_uᵀ (a grounded-endpoint edge), which is
-  /// always representable. By the etree pattern-containment invariant it
-  /// suffices that L(b, a) is a structural nonzero for the permuted
-  /// endpoints a < b.
-  [[nodiscard]] bool edge_in_pattern(Index u, Index v) const;
-
-  /// Applies the rank-1 Laplacian edge stamp
-  ///   A ← A + w·(e_u − e_v)(e_u − e_v)ᵀ        (two live endpoints), or
-  ///   A ← A + w·e_u e_uᵀ                       (v == kInvalidIndex)
-  /// directly to the factor: w > 0 is an update (always succeeds), w < 0 a
-  /// downdate. Indices are in the ORIGINAL matrix ordering. Precondition:
-  /// edge_in_pattern(u, v). Serial and deterministic. A downdate that
-  /// would make the matrix non-positive-definite throws NumericalError and
-  /// leaves the factor unchanged (downdates run a validation pass over the
-  /// path before committing).
-  void update_edge(Index u, Index v, Real w);
-
   /// Renumerates the factor for `a` with the kept symbolic analysis: same
-  /// ordering, etree, pattern, supernodes and level sets; only the numeric
+  /// ordering, pattern, supernodes and level sets; only the numeric
   /// level-parallel phase runs. Precondition: the sparsity pattern of `a`
   /// is contained in the analyzed pattern (checked; SGL_EXPECTS). The
   /// result is bit-identical to a fresh CholeskySolver built with the same
-  /// ordering decision for every thread count.
+  /// ordering decision for every thread count. The micro benchmarks use it
+  /// to time the numeric phase alone, and the kernel tests to compare the
+  /// scalar and supernodal kernels on one analysis.
   void refactorize(const la::CsrMatrix& a, Index num_threads = 0);
 
  private:
@@ -226,17 +187,6 @@ class CholeskySolver {
   /// (Re)builds r_val_pos_ — the row-mirror → CSC position map released
   /// after each numeric phase — from the symbolic structures.
   void rebuild_row_positions();
-  /// Lazily builds the in-place-update support structures (csc_to_row_).
-  void ensure_update_support();
-  /// One pass of the rank-1 recurrence along the etree path from column
-  /// `j0` for the stamp vector already scattered into scratch (entries of
-  /// √|w|·b_uv in permuted coordinates). `commit` writes L, D and the
-  /// row-mirror; a non-commit pass only validates pivots. Returns false
-  /// when a pivot would become non-positive (only possible for σ = −1).
-  /// Both passes run the identical float sequence, so a committed
-  /// downdate reproduces its validation pass bitwise.
-  bool rank1_pass(Index j0, Real sigma, bool commit,
-                  std::vector<Real>& work, std::vector<Index>& touched);
   /// Left-looking update of one column onto the dense scratch `w`
   /// (zeroed outside the column's pattern; restored to zero on return).
   void factor_column(const la::CsrMatrix& pa, Index j, Real* w);
@@ -248,9 +198,7 @@ class CholeskySolver {
                         la::Storage& w) const;
 
   Index n_ = 0;
-  std::vector<Index> perm_;      // perm_[new] = old
-  std::vector<Index> inv_perm_;  // inv_perm_[old] = new
-  std::vector<Index> parent_;    // elimination tree (kInvalidIndex = root)
+  std::vector<Index> perm_;  // perm_[new] = old
   // L in compressed-column form (unit diagonal implicit, rows ascending).
   std::vector<Index> l_col_ptr_;
   std::vector<Index> l_row_idx_;
@@ -303,10 +251,6 @@ class CholeskySolver {
   };
   std::vector<PanelUpdater> panel_upd_;
   std::vector<Index> panel_upd_ptr_;  // per panel, into panel_upd_
-  // CSC position p → row-mirror position q, so update_edge can refresh
-  // r_values_ alongside l_values_. Built lazily by the first update (one
-  // Index per factor nonzero; solve-only instances never pay for it).
-  std::vector<Index> csc_to_row_;
   la::Vector d_;  // diagonal of D
   FactorKernel kernel_ = FactorKernel::kSupernodal;
   FactorStats stats_;

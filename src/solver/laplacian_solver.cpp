@@ -60,9 +60,7 @@ LaplacianPinvSolver::LaplacianPinvSolver(const graph::Graph& g,
 LaplacianPinvSolver::LaplacianPinvSolver(const graph::Graph& g,
                                          const LaplacianSolverOptions& options,
                                          std::vector<Index> ordering_hint)
-    : n_(g.num_nodes()),
-      factor_num_threads_(options.num_threads),
-      pcg_options_(options.pcg) {
+    : n_(g.num_nodes()), pcg_options_(options.pcg) {
   SGL_EXPECTS(n_ >= 2, "LaplacianPinvSolver: need at least two nodes");
   SGL_EXPECTS(graph::is_connected(g),
               "LaplacianPinvSolver: graph must be connected");
@@ -151,38 +149,6 @@ la::Vector LaplacianPinvSolver::apply(const la::Vector& y) const {
   la::Vector x(static_cast<std::size_t>(n_));
   apply_column(std::span<const Real>(y), std::span<Real>(x));
   return x;
-}
-
-bool LaplacianPinvSolver::update_edge(Index s, Index t, Real w) {
-  SGL_EXPECTS(s >= 0 && s < n_ && t >= 0 && t < n_ && s != t,
-              "LaplacianPinvSolver::update_edge: bad edge");
-  if (!cholesky_) return false;  // no in-place path for PCG
-  // Map graph nodes to grounded indices: the ground node drops out of the
-  // reduced system, so a ground-incident edge stamps only the other
-  // endpoint's diagonal (kInvalidIndex marks the dropped endpoint).
-  const auto reduced = [this](Index v) { return v > ground_ ? v - 1 : v; };
-  Index u = kInvalidIndex;
-  Index v = kInvalidIndex;
-  if (s == ground_) {
-    u = reduced(t);
-  } else if (t == ground_) {
-    u = reduced(s);
-  } else {
-    u = reduced(s);
-    v = reduced(t);
-  }
-  if (!cholesky_->edge_in_pattern(u, v)) return false;
-  cholesky_->update_edge(u, v, w);
-  return true;
-}
-
-void LaplacianPinvSolver::refactorize(const graph::Graph& g) {
-  SGL_EXPECTS(g.num_nodes() == n_,
-              "LaplacianPinvSolver::refactorize: node count mismatch");
-  grounded_ = grounded_laplacian(g, ground_);
-  if (cholesky_) cholesky_->refactorize(grounded_, factor_num_threads_);
-  // PCG path: the preconditioner setup is kept on purpose — see the
-  // header contract.
 }
 
 void LaplacianPinvSolver::apply_block(la::ConstBlockView y, la::BlockView x,

@@ -137,33 +137,6 @@ class LaplacianPinvSolver {
   /// Effective resistance between s and t: (e_s − e_t)ᵀ L⁺ (e_s − e_t).
   [[nodiscard]] Real effective_resistance(Index s, Index t) const;
 
-  // --- Incremental maintenance (DESIGN.md §8) ----------------------------
-
-  /// Applies the Laplacian stamp of graph edge (s, t) with weight delta
-  /// `w` directly to the warm factor (rank-1 update/downdate along the
-  /// elimination-tree path). Returns false — with the solver unchanged —
-  /// when there is no in-place path: the resolved method is not Cholesky,
-  /// or the stamp falls outside the analyzed factor pattern; the caller
-  /// rebuilds or renumerates instead. Throws NumericalError on a downdate
-  /// that would lose positive definiteness (factor unchanged). NOTE: only
-  /// the factor is updated; the cached reduced Laplacian goes stale,
-  /// which is harmless on the Cholesky path (solves never read it) and is
-  /// re-synced by the next refactorize(). Not thread-safe against
-  /// concurrent apply() calls — update between solve batches, as the
-  /// learner does.
-  bool update_edge(Index s, Index t, Real w);
-
-  /// Rebuilds the reduced Laplacian from the CURRENT state of `g` and
-  /// renumerates the warm factor with the kept symbolic analysis
-  /// (Cholesky: numeric-only phase, bit-identical to a fresh same-ordering
-  /// factorization; precondition — `g`'s grounded pattern is contained in
-  /// the analyzed pattern, e.g. only weights changed or every new edge
-  /// passed update_edge). On the PCG path the preconditioner setup is
-  /// deliberately KEPT: with an unchanged pattern it remains a valid SPD
-  /// approximate inverse, trading a few extra iterations for the setup
-  /// cost. `g` must have the node count this solver was built for.
-  void refactorize(const graph::Graph& g);
-
   [[nodiscard]] Index num_nodes() const noexcept { return n_; }
 
   /// Method actually selected after kAuto resolution.
@@ -215,7 +188,6 @@ class LaplacianPinvSolver {
 
   Index n_ = 0;
   Index ground_ = 0;  // grounded node (index 0 by convention)
-  Index factor_num_threads_ = 0;  // construction thread knob, for refactorize
   LaplacianMethod method_ = LaplacianMethod::kCholesky;
   la::CsrMatrix grounded_;  // (n−1)×(n−1) SPD reduced Laplacian
   std::vector<Index> live_rows_;  // the n−1 non-ground node indices

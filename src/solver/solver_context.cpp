@@ -1,31 +1,18 @@
 #include "solver/solver_context.hpp"
 
 #include <array>
-#include <cmath>
 #include <utility>
+#include <vector>
 
 #include "common/enum_names.hpp"
-#include "graph/fingerprint.hpp"
 
 namespace sgl::solver {
 namespace {
 
-constexpr std::array<common::EnumName<IncrementalMode>, 3> kModeNames{{
+constexpr std::array<common::EnumName<IncrementalMode>, 2> kModeNames{{
     {IncrementalMode::kAuto, "auto"},
-    {IncrementalMode::kOn, "on"},
     {IncrementalMode::kOff, "off"},
 }};
-
-// Prefix fingerprints come from graph/fingerprint.hpp (shared with the
-// serving tier's factorization LRU, which keys on the same digests).
-using graph::endpoint_fingerprint;
-using graph::weight_fingerprint;
-
-Real total_weight_mass(const graph::Graph& g) {
-  Real mass = 0.0;
-  for (const graph::Edge& e : g.edges()) mass += std::abs(e.weight);
-  return mass;
-}
 
 }  // namespace
 
@@ -42,26 +29,13 @@ std::string incremental_mode_name_list() {
 }
 
 SolverContext::SolverContext(SolverContextOptions options)
-    : options_(std::move(options)) {
-  SGL_EXPECTS(options_.max_updates_between_refactor >= 1,
-              "SolverContext: max_updates_between_refactor must be positive");
-  SGL_EXPECTS(options_.growth_refactor_threshold > 0.0,
-              "SolverContext: growth_refactor_threshold must be positive");
-  SGL_EXPECTS(options_.max_ordering_reuses >= 0,
-              "SolverContext: max_ordering_reuses must be non-negative");
-}
+    : options_(std::move(options)) {}
 
 void SolverContext::invalidate() {
   solver_.reset();
+  key_ = {};
   ordering_reuses_in_a_row_ = 0;
   warm_subspace_ = la::DenseMatrix();
-  known_nodes_ = 0;
-  known_edges_ = 0;
-  endpoint_fingerprint_ = 0;
-  weight_fingerprint_ = 0;
-  updates_since_refactor_ = 0;
-  accumulated_update_weight_ = 0.0;
-  base_weight_mass_ = 0.0;
 }
 
 void SolverContext::store_warm_subspace(la::DenseMatrix basis) {
@@ -74,114 +48,37 @@ void SolverContext::store_warm_subspace(la::DenseMatrix basis) {
 
 const LaplacianPinvSolver& SolverContext::acquire(const graph::Graph& g) {
   ++stats_.acquisitions;
-  if (!incremental()) {
-    // Historical behavior: every consumer builds its own solver.
-    rebuild(g);
-    return *solver_;
-  }
-  if (!solver_ || g.num_nodes() != known_nodes_ || !try_incremental_reuse(g)) {
-    rebuild(g);
-  }
+  const graph::GraphKey key = graph::graph_key(g);
+  // kOff is the historical behavior: every consumer builds its own solver.
+  if (!incremental() || !solver_ || key != key_) rebuild(g, key);
   return *solver_;
 }
 
-bool SolverContext::try_incremental_reuse(const graph::Graph& g) {
-  const std::size_t now = g.edges().size();
-  if (now < known_edges_) return false;  // edges removed: not append-only
-  if (endpoint_fingerprint(g, known_edges_) != endpoint_fingerprint_) {
-    // The known prefix changed shape under us (not the learner's
-    // append-only usage) — the symbolic analysis no longer matches.
-    return false;
-  }
-
-  const bool weights_changed =
-      weight_fingerprint(g, known_edges_) != weight_fingerprint_;
-  const bool cholesky = solver_->method() == LaplacianMethod::kCholesky;
-
-  if (weights_changed) {
-    // Same pattern, new numbers (scale_weights / set_weight): renumerate
-    // with the kept symbolic analysis (Cholesky) or refresh the matrix
-    // and keep the preconditioner setup (PCG — same pattern, so the
-    // setup remains a valid SPD approximate inverse). A combined
-    // weight-change + append is not a learner shape; rebuild rather than
-    // risk renumerating over unverified new-edge patterns.
-    if (now != known_edges_) return false;
-    refactorize(g);
-  } else if (now > known_edges_) {
-    if (!cholesky) {
-      // Appended edges change the pattern: the PCG matrix and
-      // preconditioner setup are both stale, and there is no rank-1
-      // shortcut on that path.
-      return false;
-    }
-    Real appended_weight = 0.0;
-    for (std::size_t i = known_edges_; i < now; ++i) {
-      const graph::Edge& e = g.edges()[i];
-      if (!solver_->update_edge(e.s, e.t, e.weight)) {
-        ++stats_.pattern_misses;
-        return false;  // stamp outside the factor pattern
-      }
-      ++stats_.updates_applied;
-      ++updates_since_refactor_;
-      appended_weight += std::abs(e.weight);
-    }
-    accumulated_update_weight_ += appended_weight;
-
-    if (options_.mode == IncrementalMode::kAuto &&
-        (updates_since_refactor_ >= options_.max_updates_between_refactor ||
-         accumulated_update_weight_ >
-             options_.growth_refactor_threshold * base_weight_mass_)) {
-      // Updated factors drift from fresh ones at rounding scale per
-      // update; shed the accumulation before it becomes visible.
-      refactorize(g);
-    }
-  }
-
-  known_edges_ = now;
-  endpoint_fingerprint_ = endpoint_fingerprint(g, now);
-  weight_fingerprint_ = weight_fingerprint(g, now);
-  return true;
-}
-
-void SolverContext::rebuild(const graph::Graph& g) {
-  // In the incremental modes a rebuild forced by pattern growth reuses
-  // the outgoing factor's fill-reducing permutation: the ordering
-  // heuristic dominates rebuild cost on near-tree graphs, and a
-  // permutation computed a few edges ago still reduces fill well. kAuto
-  // computes a fresh ordering after max_ordering_reuses consecutive
-  // reuses to shed the slow fill drift; kOff never reuses (bitwise the
-  // historical from-scratch build).
+void SolverContext::rebuild(const graph::Graph& g, const graph::GraphKey& key) {
+  // In kAuto a rebuild over the same node set reuses the outgoing
+  // factor's fill-reducing permutation: the ordering heuristic dominates
+  // rebuild cost on near-tree graphs, and a permutation computed a few
+  // edges ago still reduces fill well. A fresh ordering is computed after
+  // kMaxOrderingReuses consecutive reuses to shed the slow fill drift;
+  // kOff never reuses (bitwise the historical from-scratch build).
+  const bool same_nodes = solver_ && solver_->num_nodes() == g.num_nodes();
   std::vector<Index> ordering_hint;
-  if (incremental() && solver_ && g.num_nodes() == known_nodes_ &&
-      (options_.mode == IncrementalMode::kOn ||
-       ordering_reuses_in_a_row_ < options_.max_ordering_reuses)) {
+  if (incremental() && same_nodes &&
+      ordering_reuses_in_a_row_ < kMaxOrderingReuses) {
     ordering_hint = solver_->cholesky_permutation();
   }
   const bool reused_ordering = !ordering_hint.empty();
   solver_ = std::make_unique<LaplacianPinvSolver>(g, options_.solver,
                                                   std::move(ordering_hint));
+  key_ = key;
+  ++stats_.rebuilds;
+  if (same_nodes) ++stats_.pattern_misses;
   if (reused_ordering) {
     ++stats_.ordering_reuses;
     ++ordering_reuses_in_a_row_;
   } else {
     ordering_reuses_in_a_row_ = 0;
   }
-  ++stats_.rebuilds;
-  known_nodes_ = g.num_nodes();
-  known_edges_ = g.edges().size();
-  endpoint_fingerprint_ = endpoint_fingerprint(g, known_edges_);
-  weight_fingerprint_ = weight_fingerprint(g, known_edges_);
-  updates_since_refactor_ = 0;
-  accumulated_update_weight_ = 0.0;
-  base_weight_mass_ = total_weight_mass(g);
-}
-
-void SolverContext::refactorize(const graph::Graph& g) {
-  solver_->refactorize(g);
-  ++stats_.refactorizations;
-  updates_since_refactor_ = 0;
-  accumulated_update_weight_ = 0.0;
-  base_weight_mass_ = total_weight_mass(g);
 }
 
 }  // namespace sgl::solver

@@ -25,7 +25,7 @@ Embedding compute_exact_embedding(const graph::Graph& g,
   const Index dims = std::min(options.r - 1, g.num_nodes() - 1);
 
   // The solver comes from the context when one is threaded through
-  // (warm/updated per its incremental mode); otherwise build fresh, as
+  // (warm or rebuilt per its incremental mode); otherwise build fresh, as
   // the plain overload always did.
   std::optional<solver::LaplacianPinvSolver> local;
   if (context == nullptr) local.emplace(g, options.solver);

@@ -91,7 +91,7 @@ struct EmbeddingOptions {
   SfEmbeddingOptions sf;
   /// Residual tolerance of the exact-engine eigensolve when it is
   /// warm-started from a SolverContext's stored eigenvector block
-  /// (incremental modes only; DESIGN.md §8). The warm subspace starts at
+  /// (kAuto only; DESIGN.md §8). The warm subspace starts at
   /// a relative residual around the last few edges' perturbation (~1e-2)
   /// and the convergence rate is gap-limited, so polishing it to the cold
   /// `lanczos.tolerance` (1e-9) re-pays nearly the full cold cost; the
@@ -136,13 +136,13 @@ struct Embedding {
                                           const EmbeddingOptions& options = {});
 
 /// Context-aware overload (DESIGN.md §8): on the exact engine the
-/// LaplacianPinvSolver comes from `context->acquire(g)` — warm, updated
-/// in place, or rebuilt per the context's incremental mode — instead of a
-/// fresh construction, and in the incremental modes the Lanczos run is
-/// warm-started from the context's stored eigenvector block (the new
-/// block is stored back after the solve). A null context, or a context in
-/// kOff mode, reproduces the plain overload bitwise. The solver-free
-/// engine has no solver to share and ignores the context.
+/// LaplacianPinvSolver comes from `context->acquire(g)` — warm or rebuilt
+/// per the context's incremental mode — instead of a fresh construction,
+/// and in kAuto the Lanczos run is warm-started from the context's stored
+/// eigenvector block (the new block is stored back after the solve). A
+/// null context, or a context in kOff mode, reproduces the plain overload
+/// bitwise. The solver-free engine has no solver to share and ignores the
+/// context.
 [[nodiscard]] Embedding compute_embedding(const graph::Graph& g,
                                           const EmbeddingOptions& options,
                                           solver::SolverContext* context);

@@ -7,6 +7,8 @@
 // right-hand side, so a single differing bit in L or D would surface.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -147,19 +149,6 @@ TEST(CholeskySupernodal, PathGraphPanelsAreAllWidthOne) {
   EXPECT_GE(solver.stats().num_panels, solver.stats().n - 1);
 }
 
-TEST(CholeskySupernodal, UpdateEdgeMatchesScalarKernelBitwise) {
-  const la::CsrMatrix a = grounded_laplacian(graph::make_grid2d(12, 12).graph);
-  CholeskySolver scalar(a, OrderingMethod::kRcm, 1, FactorKernel::kScalar);
-  CholeskySolver panel(a, OrderingMethod::kRcm, 1, FactorKernel::kSupernodal);
-  ASSERT_TRUE(scalar.edge_in_pattern(3, 4));
-  scalar.update_edge(3, 4, 0.75);
-  panel.update_edge(3, 4, 0.75);
-  const la::Vector b = random_rhs(a.rows(), 5);
-  const la::Vector xs = scalar.solve(b);
-  const la::Vector xp = panel.solve(b);
-  for (std::size_t i = 0; i < xs.size(); ++i) EXPECT_EQ(xs[i], xp[i]);
-}
-
 TEST(CholeskySupernodal, RefactorizeMatchesScalarKernelBitwise) {
   const graph::Graph g = graph::make_grid2d(15, 14).graph;
   const la::CsrMatrix a = grounded_laplacian(g);
@@ -176,6 +165,140 @@ TEST(CholeskySupernodal, RefactorizeMatchesScalarKernelBitwise) {
   const la::Vector xp = panel.solve(b);
   for (std::size_t i = 0; i < xs.size(); ++i) EXPECT_EQ(xs[i], xp[i]);
 }
+
+TEST(CholeskySupernodal, RefactorizeMatchesFreshBitwise) {
+  // Weight-only changes keep the pattern, so the kept symbolic analysis
+  // plus a numeric renumeration must reproduce a fresh factorization of
+  // the new matrix BITWISE (same ordering decision, same level schedule).
+  const graph::Graph g = graph::make_grid2d(9, 11).graph;
+  const la::CsrMatrix a = grounded_laplacian(g);
+  graph::Graph scaled_g = g;
+  scaled_g.scale_weights(3.25);
+  const la::CsrMatrix scaled = grounded_laplacian(scaled_g);
+
+  for (const OrderingMethod ordering :
+       {OrderingMethod::kRcm, OrderingMethod::kMinimumDegree,
+        OrderingMethod::kNestedDissection}) {
+    CholeskySolver solver(a, ordering);
+    solver.refactorize(scaled);
+
+    const CholeskySolver fresh(scaled, ordering);
+    const la::Vector b = random_rhs(a.rows(), 17);
+    const la::Vector x_re = solver.solve(b);
+    const la::Vector x_fresh = fresh.solve(b);
+    for (std::size_t i = 0; i < b.size(); ++i) EXPECT_EQ(x_re[i], x_fresh[i]);
+  }
+}
+
+TEST(CholeskySupernodal, RefactorizeRejectsPatternGrowth) {
+  const graph::Graph path = graph::make_path(32);
+  CholeskySolver solver(grounded_laplacian(path), OrderingMethod::kNatural);
+  // Grounded entry (0, 30) is far outside the bidiagonal pattern.
+  graph::Graph grown = path;
+  grown.add_edge(1, 31, 1.0);
+  EXPECT_THROW(solver.refactorize(grounded_laplacian(grown)),
+               ContractViolation);
+}
+
+/// `a` with every off-diagonal pair (i, j) scaled by its own factor in
+/// [0.5, 2) — the same factor for (j, i) — and each diagonal moved by the
+/// change of its row's off-diagonal magnitudes. The pattern is unchanged
+/// and diagonal dominance (hence positive definiteness) is kept, but unlike
+/// a uniform scale the new values are not a multiple of the old ones.
+la::CsrMatrix reweighted(const la::CsrMatrix& a) {
+  la::CsrMatrix out = a;
+  std::vector<Real>& vals = out.values();
+  for (Index i = 0; i < a.rows(); ++i) {
+    Index diag_pos = kInvalidIndex;
+    Real diag_shift = 0.0;
+    for (Index p = a.row_ptr()[static_cast<std::size_t>(i)];
+         p < a.row_ptr()[static_cast<std::size_t>(i) + 1]; ++p) {
+      const Index j = a.col_idx()[static_cast<std::size_t>(p)];
+      Real& v = vals[static_cast<std::size_t>(p)];
+      if (j == i) {
+        diag_pos = p;
+        continue;
+      }
+      const auto lo = static_cast<std::uint64_t>(std::min(i, j));
+      const auto hi = static_cast<std::uint64_t>(std::max(i, j));
+      const Real f = 0.5 + static_cast<Real>((lo * 7919 + hi * 104729) % 97) /
+                               64.0;
+      diag_shift += std::abs(v) * (f - 1.0);
+      v *= f;
+    }
+    vals[static_cast<std::size_t>(diag_pos)] += diag_shift;
+  }
+  return out;
+}
+
+class CholeskyRefactorizeSweep
+    : public ::testing::TestWithParam<OrderingMethod> {};
+
+TEST_P(CholeskyRefactorizeSweep, RefactorizeMatchesFreshFactorization) {
+  // The ordering is chosen from the pattern alone, so a numeric
+  // renumeration on the kept analysis must equal a fresh factorization of
+  // the new values bit for bit, whatever the thread count of either.
+  for (const MatrixFamily family :
+       {MatrixFamily::kMesh, MatrixFamily::kPath, MatrixFamily::kRandomSpd}) {
+    SCOPED_TRACE(static_cast<int>(family));
+    const la::CsrMatrix a = make_matrix(family);
+    const la::CsrMatrix a2 = reweighted(a);
+    ASSERT_NE(a2.values(), a.values());
+
+    CholeskySolver solver(a, GetParam());
+    solver.refactorize(a2, 4);
+    const CholeskySolver fresh(a2, GetParam(), 1);
+    EXPECT_EQ(solver.stats().factor_nnz, fresh.stats().factor_nnz);
+
+    const la::Vector b = random_rhs(a.rows(), 31);
+    const la::Vector x_re = solver.solve(b);
+    const la::Vector x_fresh = fresh.solve(b);
+    for (std::size_t i = 0; i < b.size(); ++i) EXPECT_EQ(x_re[i], x_fresh[i]);
+
+    // The renumerated factor solves the NEW system, not the old one.
+    const la::Vector ax = a2.multiply(x_re);
+    for (std::size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(ax[i], b[i], 1e-8);
+  }
+}
+
+TEST_P(CholeskyRefactorizeSweep, RefactorizeRoundTripRestoresFactorBitwise) {
+  // Refactorizing to new values and back must leave no numeric state of
+  // the intermediate factor behind (fill entries included): scalar and
+  // block solves equal those of the original factor bit for bit.
+  for (const MatrixFamily family :
+       {MatrixFamily::kMesh, MatrixFamily::kPath, MatrixFamily::kRandomSpd}) {
+    SCOPED_TRACE(static_cast<int>(family));
+    const la::CsrMatrix a = make_matrix(family);
+    CholeskySolver solver(a, GetParam());
+    const la::Vector b = random_rhs(a.rows(), 43);
+    const la::MultiVector rhs = random_block_rhs(a.rows(), 3, 44);
+    const la::Vector x_before = solver.solve(b);
+    const la::MultiVector xb_before = solver.solve_block(rhs, 1);
+
+    solver.refactorize(reweighted(a));
+    solver.refactorize(a);
+
+    const la::Vector x_after = solver.solve(b);
+    for (std::size_t i = 0; i < b.size(); ++i)
+      EXPECT_EQ(x_after[i], x_before[i]);
+    const la::MultiVector xb_after = solver.solve_block(rhs, 1);
+    for (Index j = 0; j < rhs.cols(); ++j) {
+      const auto col = xb_after.col(j);
+      const auto ref = xb_before.col(j);
+      for (Index i = 0; i < a.rows(); ++i) EXPECT_EQ(col[i], ref[i]);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Orderings, CholeskyRefactorizeSweep,
+                         ::testing::Values(OrderingMethod::kNatural,
+                                           OrderingMethod::kRcm,
+                                           OrderingMethod::kMinimumDegree,
+                                           OrderingMethod::kNestedDissection,
+                                           OrderingMethod::kAuto),
+                         [](const auto& info) {
+                           return std::string(ordering_method_name(info.param));
+                         });
 
 TEST(CholeskySupernodal, NonPositivePivotThrowsSameColumnAsScalar) {
   // Indefinite dense-ish matrix: both kernels must reject at the SAME

@@ -1,12 +1,11 @@
-// SolverContext reconciliation policy: warm reuse, rank-1 update,
-// renumeration, rebuild, and the cached-ordering rebuild path
-// (DESIGN.md §8).
+// SolverContext reuse-or-rebuild policy: warm reuse of an unchanged
+// graph, fresh rebuilds on a new node set, and the cached-ordering
+// rebuild path with its reuse cap (DESIGN.md §8).
 #include <gtest/gtest.h>
 
-#include <array>
+#include <algorithm>
 #include <cmath>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -25,8 +24,8 @@ la::Vector centered_rhs(Index n, std::uint64_t seed) {
 }
 
 /// Relative ‖x − x_ref‖ / ‖x_ref‖ between a context-produced solve and a
-/// from-scratch solver of the same graph (an updated factor matches a
-/// fresh one to rounding, not bitwise).
+/// from-scratch solver of the same graph (a factor on a reused ordering
+/// matches a fresh one to rounding, not bitwise).
 Real solve_rel_diff(const LaplacianPinvSolver& pinv, const graph::Graph& g,
                     std::uint64_t seed = 77) {
   const la::Vector y = centered_rhs(g.num_nodes(), seed);
@@ -41,6 +40,20 @@ Real solve_rel_diff(const LaplacianPinvSolver& pinv, const graph::Graph& g,
   return std::sqrt(num / den);
 }
 
+/// Asserts a and b produce bitwise-identical solves of one seeded block.
+void expect_same_solves_bitwise(const LaplacianPinvSolver& a,
+                                const LaplacianPinvSolver& b, Index n) {
+  la::DenseMatrix y(n, 3);
+  for (Index j = 0; j < 3; ++j) {
+    const la::Vector col = centered_rhs(n, 90 + static_cast<std::uint64_t>(j));
+    for (Index i = 0; i < n; ++i) y(i, j) = col[static_cast<std::size_t>(i)];
+  }
+  const la::DenseMatrix xa = a.apply_block(y);
+  const la::DenseMatrix xb = b.apply_block(y);
+  for (Index j = 0; j < 3; ++j)
+    for (Index i = 0; i < n; ++i) EXPECT_EQ(xa(i, j), xb(i, j));
+}
+
 SolverContextOptions options_with_mode(IncrementalMode mode) {
   SolverContextOptions options;
   options.mode = mode;
@@ -49,13 +62,14 @@ SolverContextOptions options_with_mode(IncrementalMode mode) {
 
 TEST(SolverContext, ModeNamesRoundTrip) {
   for (const IncrementalMode mode :
-       {IncrementalMode::kAuto, IncrementalMode::kOn, IncrementalMode::kOff}) {
+       {IncrementalMode::kAuto, IncrementalMode::kOff}) {
     const auto parsed = parse_incremental_mode(incremental_mode_name(mode));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, mode);
   }
   EXPECT_FALSE(parse_incremental_mode("sometimes").has_value());
-  EXPECT_NE(incremental_mode_name_list().find("auto"), std::string::npos);
+  EXPECT_FALSE(parse_incremental_mode("on").has_value());  // retired
+  EXPECT_EQ(incremental_mode_name_list(), "auto, off");
 }
 
 TEST(SolverContext, OffModeRebuildsEveryAcquire) {
@@ -66,133 +80,136 @@ TEST(SolverContext, OffModeRebuildsEveryAcquire) {
   (void)ctx.acquire(g);
   EXPECT_EQ(ctx.stats().acquisitions, 2);
   EXPECT_EQ(ctx.stats().rebuilds, 2);
+  EXPECT_EQ(ctx.stats().pattern_misses, 1);  // the second replaced the first
   EXPECT_EQ(ctx.stats().ordering_reuses, 0);
 }
 
 TEST(SolverContext, UnchangedGraphReusesWarmSolver) {
   const graph::Graph g = graph::make_grid2d(5, 5).graph;
-  SolverContext ctx(options_with_mode(IncrementalMode::kOn));
+  SolverContext ctx(options_with_mode(IncrementalMode::kAuto));
   const LaplacianPinvSolver& first = ctx.acquire(g);
-  const LaplacianPinvSolver& second = ctx.acquire(g);
+  // A copy has the same GraphKey, so it is the same graph state.
+  const graph::Graph copy = g;
+  const LaplacianPinvSolver& second = ctx.acquire(copy);
   EXPECT_EQ(&first, &second);
   EXPECT_EQ(ctx.stats().acquisitions, 2);
   EXPECT_EQ(ctx.stats().rebuilds, 1);
-}
-
-TEST(SolverContext, AppendedInPatternEdgeAppliedAsUpdate) {
-  // A parallel edge duplicates an existing stamp, so it is guaranteed to
-  // be inside the analyzed factor pattern.
-  graph::Graph g = graph::make_grid2d(5, 5).graph;
-  SolverContext ctx(options_with_mode(IncrementalMode::kOn));
-  (void)ctx.acquire(g);
-  const graph::Edge dup = g.edges()[10];
-  g.add_edge(dup.s, dup.t, 0.5);
-  const LaplacianPinvSolver& pinv = ctx.acquire(g);
-  EXPECT_EQ(ctx.stats().rebuilds, 1);
-  EXPECT_EQ(ctx.stats().updates_applied, 1);
   EXPECT_EQ(ctx.stats().pattern_misses, 0);
-  EXPECT_LT(solve_rel_diff(pinv, g), 1e-9);
 }
 
 TEST(SolverContext, PatternMissRebuildsAndReusesOrdering) {
   // Star grounded at the hub: the reduced system is diagonal, so any
   // leaf–leaf edge falls outside the factor pattern by construction.
   graph::Graph g = graph::make_star(10);
-  SolverContext ctx(options_with_mode(IncrementalMode::kOn));
+  SolverContext ctx(options_with_mode(IncrementalMode::kAuto));
   (void)ctx.acquire(g);
   g.add_edge(1, 2, 1.0);
   const LaplacianPinvSolver& pinv = ctx.acquire(g);
   EXPECT_EQ(ctx.stats().pattern_misses, 1);
   EXPECT_EQ(ctx.stats().rebuilds, 2);
-  EXPECT_EQ(ctx.stats().updates_applied, 0);
   EXPECT_EQ(ctx.stats().ordering_reuses, 1);
+  EXPECT_EQ(ctx.stats().updates_applied, 0);
+  EXPECT_EQ(ctx.stats().refactorizations, 0);
   EXPECT_LT(solve_rel_diff(pinv, g), 1e-9);
 }
 
-TEST(SolverContext, AutoRefreshesOrderingAfterConsecutiveReuseCap) {
-  graph::Graph g = graph::make_star(12);
-  SolverContextOptions options = options_with_mode(IncrementalMode::kAuto);
-  options.max_ordering_reuses = 2;
-  SolverContext ctx(options);
+TEST(SolverContext, FreshOrderingAfterSixteenReusesInARow) {
+  // 17 leaf–leaf chords on a star: each one is a rebuild; the first 16
+  // reuse the cached ordering, the 17th takes a fresh one (the cap), and
+  // the streak then starts over.
+  const Index chords = SolverContext::kMaxOrderingReuses + 1;
+  ASSERT_EQ(chords, 17);
+  graph::Graph g = graph::make_star(2 * chords + 4);
+  SolverContext ctx(options_with_mode(IncrementalMode::kAuto));
   (void)ctx.acquire(g);  // fresh build, no reuse streak
-  const std::array<std::pair<Index, Index>, 4> chords{
-      {{1, 2}, {3, 4}, {5, 6}, {7, 8}}};
-  for (const auto& [s, t] : chords) {
-    g.add_edge(s, t, 1.0);
-    (void)ctx.acquire(g);  // each chord is a pattern miss → rebuild
-  }
-  EXPECT_EQ(ctx.stats().pattern_misses, 4);
-  EXPECT_EQ(ctx.stats().rebuilds, 5);
-  // Streak: reuse, reuse, fresh (cap of 2 hit), reuse.
-  EXPECT_EQ(ctx.stats().ordering_reuses, 3);
-}
-
-TEST(SolverContext, OnModeReusesOrderingWithoutLimit) {
-  graph::Graph g = graph::make_star(12);
-  SolverContextOptions options = options_with_mode(IncrementalMode::kOn);
-  options.max_ordering_reuses = 1;  // ignored by kOn
-  SolverContext ctx(options);
-  (void)ctx.acquire(g);
-  const std::array<std::pair<Index, Index>, 3> chords{{{1, 2}, {3, 4}, {5, 6}}};
-  for (const auto& [s, t] : chords) {
-    g.add_edge(s, t, 1.0);
+  for (Index c = 0; c < chords; ++c) {
+    g.add_edge(2 * c + 1, 2 * c + 2, 1.0);
     (void)ctx.acquire(g);
+    EXPECT_EQ(ctx.stats().ordering_reuses,
+              std::min(c + 1, SolverContext::kMaxOrderingReuses))
+        << "chord " << c;
   }
-  EXPECT_EQ(ctx.stats().ordering_reuses, 3);
+  EXPECT_EQ(ctx.stats().rebuilds, chords + 1);
+  EXPECT_EQ(ctx.stats().pattern_misses, chords);
+  EXPECT_EQ(ctx.stats().ordering_reuses, 16);
+  // The 17th rebuild ran the ordering heuristic: same permutation, same
+  // solves as a from-scratch solver of the grown graph.
+  const LaplacianPinvSolver fresh(g);
+  EXPECT_EQ(ctx.acquire(g).cholesky_permutation(),
+            fresh.cholesky_permutation());
+  expect_same_solves_bitwise(ctx.acquire(g), fresh, g.num_nodes());
+
+  g.add_edge(2 * chords + 1, 2 * chords + 2, 1.0);
+  (void)ctx.acquire(g);
+  EXPECT_EQ(ctx.stats().ordering_reuses, 17);  // a new streak begins
 }
 
-TEST(SolverContext, WeightsOnlyChangeRefactorizes) {
+TEST(SolverContext, WeightsOnlyChangeRebuildsOnCachedOrdering) {
   graph::Graph g = graph::make_grid2d(6, 4).graph;
-  SolverContext ctx(options_with_mode(IncrementalMode::kOn));
-  (void)ctx.acquire(g);
+  SolverContext ctx(options_with_mode(IncrementalMode::kAuto));
+  const std::vector<Index> ordering = ctx.acquire(g).cholesky_permutation();
+  ASSERT_FALSE(ordering.empty());
   g.scale_weights(2.0);
   const LaplacianPinvSolver& pinv = ctx.acquire(g);
-  EXPECT_EQ(ctx.stats().rebuilds, 1);
-  EXPECT_EQ(ctx.stats().refactorizations, 1);
-  EXPECT_LT(solve_rel_diff(pinv, g), 1e-9);
+  EXPECT_EQ(ctx.stats().rebuilds, 2);
+  EXPECT_EQ(ctx.stats().pattern_misses, 1);
+  EXPECT_EQ(ctx.stats().ordering_reuses, 1);
+  EXPECT_EQ(pinv.cholesky_permutation(), ordering);
+  // Bitwise the ordering-hint constructor on the new weights.
+  const LaplacianPinvSolver hinted(g, {}, ordering);
+  expect_same_solves_bitwise(pinv, hinted, g.num_nodes());
 }
 
 TEST(SolverContext, WeightChangePlusAppendForcesRebuild) {
   graph::Graph g = graph::make_grid2d(6, 4).graph;
-  SolverContext ctx(options_with_mode(IncrementalMode::kOn));
+  SolverContext ctx(options_with_mode(IncrementalMode::kAuto));
   (void)ctx.acquire(g);
   g.scale_weights(3.0);
   const graph::Edge dup = g.edges()[0];
   g.add_edge(dup.s, dup.t, 0.25);
   const LaplacianPinvSolver& pinv = ctx.acquire(g);
   EXPECT_EQ(ctx.stats().rebuilds, 2);
-  EXPECT_EQ(ctx.stats().refactorizations, 0);
+  EXPECT_EQ(ctx.stats().ordering_reuses, 1);
   EXPECT_LT(solve_rel_diff(pinv, g), 1e-9);
 }
 
+TEST(SolverContext, PcgAmgPathReusesOrRebuildsWithoutOrderingHint) {
+  // The iterative path has no factor ordering to cache: an unchanged
+  // graph hands back the same solver, and an appended edge rebuilds it
+  // exactly as a from-scratch solver would.
+  graph::Graph g = graph::make_grid2d(9, 8).graph;
+  SolverContextOptions options = options_with_mode(IncrementalMode::kAuto);
+  options.solver.method = LaplacianMethod::kPcgAmg;
+  SolverContext ctx(options);
+  const LaplacianPinvSolver& first = ctx.acquire(g);
+  EXPECT_EQ(first.method(), LaplacianMethod::kPcgAmg);
+  EXPECT_EQ(&ctx.acquire(g), &first);
+  EXPECT_EQ(ctx.stats().rebuilds, 1);
+
+  g.add_edge(0, g.num_nodes() - 1, 0.5);
+  const LaplacianPinvSolver& grown = ctx.acquire(g);
+  EXPECT_EQ(grown.method(), LaplacianMethod::kPcgAmg);
+  EXPECT_TRUE(grown.cholesky_permutation().empty());
+  EXPECT_EQ(ctx.stats().acquisitions, 3);
+  EXPECT_EQ(ctx.stats().rebuilds, 2);
+  EXPECT_EQ(ctx.stats().pattern_misses, 1);
+  EXPECT_EQ(ctx.stats().ordering_reuses, 0);
+  const LaplacianPinvSolver fresh(g, options.solver);
+  expect_same_solves_bitwise(grown, fresh, g.num_nodes());
+}
+
 TEST(SolverContext, NodeCountChangeRebuildsWithFreshOrdering) {
-  SolverContext ctx(options_with_mode(IncrementalMode::kOn));
+  SolverContext ctx(options_with_mode(IncrementalMode::kAuto));
   (void)ctx.acquire(graph::make_grid2d(5, 5).graph);
   (void)ctx.acquire(graph::make_grid2d(6, 6).graph);
   EXPECT_EQ(ctx.stats().rebuilds, 2);
+  EXPECT_EQ(ctx.stats().pattern_misses, 0);
   EXPECT_EQ(ctx.stats().ordering_reuses, 0);
-}
-
-TEST(SolverContext, AutoRenumeratesAfterUpdateCap) {
-  graph::Graph g = graph::make_grid2d(6, 6).graph;
-  SolverContextOptions options = options_with_mode(IncrementalMode::kAuto);
-  options.max_updates_between_refactor = 2;
-  SolverContext ctx(options);
-  (void)ctx.acquire(g);
-  for (int round = 0; round < 3; ++round) {
-    const graph::Edge dup = g.edges()[static_cast<std::size_t>(round)];
-    g.add_edge(dup.s, dup.t, 0.1);
-    (void)ctx.acquire(g);
-  }
-  EXPECT_EQ(ctx.stats().updates_applied, 3);
-  EXPECT_EQ(ctx.stats().rebuilds, 1);
-  EXPECT_GE(ctx.stats().refactorizations, 1);
-  EXPECT_LT(solve_rel_diff(ctx.acquire(g), g), 1e-9);
 }
 
 TEST(SolverContext, InvalidateDropsWarmState) {
   const graph::Graph g = graph::make_grid2d(5, 5).graph;
-  SolverContext ctx(options_with_mode(IncrementalMode::kOn));
+  SolverContext ctx(options_with_mode(IncrementalMode::kAuto));
   (void)ctx.acquire(g);
   ctx.store_warm_subspace(la::DenseMatrix(g.num_nodes(), 2));
   EXPECT_EQ(ctx.warm_subspace().rows(), g.num_nodes());
@@ -200,6 +217,7 @@ TEST(SolverContext, InvalidateDropsWarmState) {
   EXPECT_EQ(ctx.warm_subspace().rows(), 0);
   (void)ctx.acquire(g);
   EXPECT_EQ(ctx.stats().rebuilds, 2);
+  EXPECT_EQ(ctx.stats().pattern_misses, 0);
   EXPECT_EQ(ctx.stats().ordering_reuses, 0);
 }
 
@@ -208,22 +226,10 @@ TEST(SolverContext, WarmSubspaceStoredOnlyInIncrementalModes) {
   off.store_warm_subspace(la::DenseMatrix(8, 2));
   EXPECT_EQ(off.warm_subspace().rows(), 0);  // kOff stays bitwise-historical
 
-  SolverContext on(options_with_mode(IncrementalMode::kOn));
+  SolverContext on(options_with_mode(IncrementalMode::kAuto));
   on.store_warm_subspace(la::DenseMatrix(8, 2));
   EXPECT_EQ(on.warm_subspace().rows(), 8);
   EXPECT_EQ(on.warm_subspace().cols(), 2);
-}
-
-TEST(SolverContext, RejectsBadOptions) {
-  SolverContextOptions options;
-  options.max_updates_between_refactor = 0;
-  EXPECT_THROW(SolverContext{options}, ContractViolation);
-  options = SolverContextOptions{};
-  options.growth_refactor_threshold = 0.0;
-  EXPECT_THROW(SolverContext{options}, ContractViolation);
-  options = SolverContextOptions{};
-  options.max_ordering_reuses = -1;
-  EXPECT_THROW(SolverContext{options}, ContractViolation);
 }
 
 // --- Ordering-hint constructor (the cached-ordering rebuild primitive) ---

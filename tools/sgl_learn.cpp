@@ -60,11 +60,12 @@ void usage() {
       "  --seed <int>    measurement RNG seed       (default 2021)\n"
       "  --engine <name> embedding engine: auto, exact, solver-free\n"
       "                  (default auto: solver-free on large graphs)\n"
-      "  --incremental <name> incremental relearning: auto, on, off\n"
+      "  --incremental <name> incremental relearning: auto, off\n"
       "                  (default off: rebuild every solver from scratch,\n"
-      "                  byte-identical to historical output; on/auto keep\n"
-      "                  one warm factorization across iterations and apply\n"
-      "                  added edges as rank-1 updates)\n"
+      "                  byte-identical to historical output; auto reuses\n"
+      "                  the factor while the graph is unchanged, rebuilds\n"
+      "                  it on the cached ordering when edges are added,\n"
+      "                  and warm-starts the exact engine's eigensolver)\n"
       "  --solver <name> Laplacian solver: auto, cholesky, pcg-amg\n"
       "                  (default auto)\n"
       "  --ordering <name> factorization ordering: auto, amd, rcm, nd,\n"
@@ -244,17 +245,15 @@ int main(int argc, char** argv) {
       }
       // Incremental-relearning counters of the learner's SolverContext:
       // how often the warm solver was reused vs rebuilt, and how many
-      // added edges were absorbed as rank-1 updates (DESIGN.md §8).
+      // rebuilds ran on the cached ordering (DESIGN.md §8).
       {
         const solver::SolverContext& ctx = learner.solver_context();
         const solver::SolverContextStats& cs = ctx.stats();
         std::printf(
             "incremental: mode=%s acquisitions=%d rebuilds=%d "
-            "refactorizations=%d updates=%d pattern-misses=%d "
-            "ordering-reuses=%d\n",
+            "pattern-misses=%d ordering-reuses=%d\n",
             solver::incremental_mode_name(ctx.mode()), cs.acquisitions,
-            cs.rebuilds, cs.refactorizations, cs.updates_applied,
-            cs.pattern_misses, cs.ordering_reuses);
+            cs.rebuilds, cs.pattern_misses, cs.ordering_reuses);
       }
       // Surface the solver the learned graph's Laplacian resolves to,
       // plus the factorization statistics of the refactored backbone.
@@ -267,10 +266,9 @@ int main(int argc, char** argv) {
       if (const solver::FactorStats* fs = pinv.factor_stats()) {
         std::printf(
             "factor: n=%d nnz=%d supernodes=%d levels=%d "
-            "(widest level %d) in %.4fs, updates=%d refactorizations=%d\n",
+            "(widest level %d) in %.4fs\n",
             fs->n, fs->factor_nnz, fs->num_supernodes, fs->num_levels,
-            fs->max_level_supernodes, fs->factor_seconds, fs->updates_applied,
-            fs->refactorizations);
+            fs->max_level_supernodes, fs->factor_seconds);
       } else {
         // Iterative path: drive one two-column probe block through the
         // block-PCG solve so the per-block iteration stats are populated.

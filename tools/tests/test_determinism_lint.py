@@ -127,17 +127,17 @@ class RuleFixtures(unittest.TestCase):
                                       "src/spectral/fixture.cpp"), [])
 
     def test_warm_start_accumulator_positive(self):
-        # The incremental-relearning bookkeeping shape (DESIGN.md §8):
-        # warm-start/update accumulators folded inside a parallel body
-        # must be flagged like any captured accumulator.
+        # The warm-start bookkeeping shape (DESIGN.md §8): accumulators
+        # folded inside a parallel body must be flagged like any captured
+        # accumulator.
         findings = lint_fixture("warm_start_accumulator_positive.snippet",
                                 "src/solver/fixture.cpp")
         self.assertEqual(rule_counts(findings),
                          {"shared-mutation-in-parallel": 2})
 
     def test_warm_start_accumulator_waived(self):
-        # ... while the SERIAL accumulation SolverContext actually uses
-        # (appended-weight loop on the rank-1 update path) lints clean.
+        # ... while a SERIAL accumulation loop and per-column writes to
+        # disjoint slots lint clean.
         self.assertEqual(
             lint_fixture("warm_start_accumulator_waived.snippet",
                          "src/solver/fixture.cpp"), [])
