@@ -2,12 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
+#include <limits>
 
 #include "graph/components.hpp"
 #include "graph/mst.hpp"
 #include "graph/union_find.hpp"
 
 namespace sgl::graph {
+
+namespace {
+
+/// True when the product of the positive sizes `dims` fits Index, the
+/// node-id type. Checked factor by factor, so nothing overflows.
+bool node_count_fits(std::initializer_list<Index> dims) {
+  std::int64_t count = 1;
+  for (const Index d : dims) {
+    if (count > std::numeric_limits<Index>::max() / d) return false;
+    count *= d;
+  }
+  return true;
+}
+
+}  // namespace
 
 Graph make_path(Index n, Real weight) {
   SGL_EXPECTS(n >= 1, "make_path: need at least one node");
@@ -42,6 +59,8 @@ MeshGraph make_grid2d(Index nx, Index ny, bool periodic, Real weight) {
   SGL_EXPECTS(nx >= 1 && ny >= 1, "make_grid2d: degenerate size");
   SGL_EXPECTS(!periodic || (nx >= 3 && ny >= 3),
               "make_grid2d: periodic grid needs nx, ny >= 3");
+  SGL_EXPECTS(node_count_fits({nx, ny}),
+              "make_grid2d: nx * ny nodes overflow the node index type");
   MeshGraph mesh;
   mesh.graph = Graph(nx * ny);
   mesh.coords.resize(static_cast<std::size_t>(nx) * ny);
@@ -61,6 +80,8 @@ MeshGraph make_grid2d(Index nx, Index ny, bool periodic, Real weight) {
 
 Graph make_grid3d(Index nx, Index ny, Index nz, Real weight) {
   SGL_EXPECTS(nx >= 1 && ny >= 1 && nz >= 1, "make_grid3d: degenerate size");
+  SGL_EXPECTS(node_count_fits({nx, ny, nz}),
+              "make_grid3d: nx * ny * nz nodes overflow the node index type");
   Graph g(nx * ny * nz);
   const auto id = [nx, ny](Index x, Index y, Index z) {
     return (z * ny + y) * nx + x;
@@ -151,6 +172,9 @@ MeshGraph make_triangulated_mesh(const TriMeshOptions& options) {
   const Index nx = options.nx;
   const Index ny = options.ny;
   SGL_EXPECTS(nx >= 2 && ny >= 2, "make_triangulated_mesh: degenerate size");
+  SGL_EXPECTS(node_count_fits({nx, ny}),
+              "make_triangulated_mesh: nx * ny nodes overflow the node index "
+              "type");
   SGL_EXPECTS(options.weight_jitter >= 1.0,
               "make_triangulated_mesh: jitter must be >= 1");
   Rng rng(options.seed);

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -24,14 +25,33 @@ const JsonValue& require(const JsonValue& root, std::string_view key) {
   return *v;
 }
 
-/// JSON number → Index, rejecting non-integral values.
-Index as_index(const JsonValue& v, std::string_view what) {
+/// Largest synthetic problem learn_synthetic builds: nx·ny nodes, and
+/// nodes × measurements entries in each of the voltage and current
+/// matrices (2²⁵ doubles = 256 MiB). A request above either is refused
+/// before anything is allocated.
+constexpr std::int64_t kMaxSyntheticNodes = std::int64_t{1} << 22;
+constexpr std::int64_t kMaxSyntheticEntries = std::int64_t{1} << 25;
+
+/// JSON number → integer, rejecting non-integral values and magnitudes
+/// a double no longer holds exactly.
+std::int64_t as_integer(const JsonValue& v, std::string_view what) {
   if (!v.is_number()) bad_request("field '" + std::string(what) + "' must be a number");
   const double d = v.as_number();
   if (d != std::floor(d) || std::fabs(d) > 9.0e15) {
     bad_request("field '" + std::string(what) + "' must be an integer");
   }
-  return static_cast<Index>(d);
+  return static_cast<std::int64_t>(d);
+}
+
+/// JSON number → Index, rejecting values outside the Index range.
+Index as_index(const JsonValue& v, std::string_view what) {
+  const std::int64_t i = as_integer(v, what);
+  if (i < std::numeric_limits<Index>::min() ||
+      i > std::numeric_limits<Index>::max()) {
+    bad_request("field '" + std::string(what) + "' is out of range (" +
+                std::to_string(i) + ")");
+  }
+  return static_cast<Index>(i);
 }
 
 Index optional_index(const JsonValue& root, std::string_view key,
@@ -195,28 +215,41 @@ JsonValue op_learn(ServeEngine& engine, const JsonValue& root) {
 JsonValue op_learn_synthetic(ServeEngine& engine, const JsonValue& root) {
   const JsonValue& kind = require(root, "graph");
   if (!kind.is_string()) bad_request("field 'graph' must be a string");
-
-  graph::Graph truth;
-  if (kind.as_string() == "grid2d") {
-    const Index nx = optional_index(root, "nx", 10);
-    const Index ny = optional_index(root, "ny", 10);
-    if (nx < 2 || ny < 2) bad_request("'nx'/'ny' must be at least 2");
-    truth = graph::make_grid2d(nx, ny).graph;
-  } else if (kind.as_string() == "tri_mesh") {
-    graph::TriMeshOptions mesh;
-    mesh.nx = optional_index(root, "nx", mesh.nx);
-    mesh.ny = optional_index(root, "ny", mesh.ny);
-    if (mesh.nx < 2 || mesh.ny < 2) bad_request("'nx'/'ny' must be at least 2");
-    truth = graph::make_triangulated_mesh(mesh).graph;
-  } else {
+  const bool grid = kind.as_string() == "grid2d";
+  if (!grid && kind.as_string() != "tri_mesh") {
     bad_request("unknown synthetic graph '" + kind.as_string() +
                 "' (expected 'grid2d' or 'tri_mesh')");
   }
-
+  graph::TriMeshOptions mesh;
+  const Index nx = optional_index(root, "nx", grid ? 10 : mesh.nx);
+  const Index ny = optional_index(root, "ny", grid ? 10 : mesh.ny);
+  if (nx < 2 || ny < 2) bad_request("'nx'/'ny' must be at least 2");
   measure::MeasurementOptions mopt;
   mopt.num_measurements = optional_index(root, "measurements", 50);
   if (mopt.num_measurements < 1) bad_request("'measurements' must be positive");
-  mopt.seed = static_cast<std::uint64_t>(optional_index(root, "seed", 2021));
+  const JsonValue* seed = root.find("seed");
+  mopt.seed = seed == nullptr
+                  ? std::uint64_t{2021}
+                  : static_cast<std::uint64_t>(as_integer(*seed, "seed"));
+  // Both factors are below 2³¹, so neither product overflows 64 bits.
+  const std::int64_t nodes = std::int64_t{nx} * ny;
+  if (nodes > kMaxSyntheticNodes ||
+      nodes * mopt.num_measurements > kMaxSyntheticEntries) {
+    bad_request("learn_synthetic: " + std::to_string(nodes) + " nodes x " +
+                std::to_string(mopt.num_measurements) +
+                " measurements exceeds the limit of " +
+                std::to_string(kMaxSyntheticNodes) + " nodes and " +
+                std::to_string(kMaxSyntheticEntries) + " entries");
+  }
+
+  graph::Graph truth;
+  if (grid) {
+    truth = graph::make_grid2d(nx, ny).graph;
+  } else {
+    mesh.nx = nx;
+    mesh.ny = ny;
+    truth = graph::make_triangulated_mesh(mesh).graph;
+  }
   const measure::Measurements data =
       measure::generate_measurements(truth, mopt);
 

@@ -203,31 +203,7 @@ la::Vector ServeEngine::solve(const la::Vector& rhs,
 
 Real ServeEngine::effective_resistance(
     Index s, Index t, const std::optional<graph::GraphKey>& key) {
-  {
-    const common::MutexLock lock(stats_mutex_);
-    ++stats_.requests;
-  }
-  const auto solver_ptr = acquire_solver(key);
-  const Index n = solver_ptr->num_nodes();
-  if (s < 0 || s >= n || t < 0 || t >= n || s == t) {
-    const common::MutexLock lock(stats_mutex_);
-    ++stats_.errors;
-    throw SglError(ErrorCode::kBadRequest,
-                   "effective_resistance: invalid node pair (" +
-                       std::to_string(s) + ", " + std::to_string(t) +
-                       ") for " + std::to_string(n) + " nodes");
-  }
-
-  Pending p;
-  p.solver = solver_ptr.get();
-  p.pair_probe = true;
-  p.s = s;
-  p.t = t;
-  p.rhs.assign(static_cast<std::size_t>(n), 0.0);
-  p.rhs[static_cast<std::size_t>(s)] = 1.0;
-  p.rhs[static_cast<std::size_t>(t)] = -1.0;
-  enqueue_and_wait(p);
-  return p.value;
+  return effective_resistance_batch({{s, t}}, key).front();
 }
 
 std::vector<Real> ServeEngine::effective_resistance_batch(
@@ -244,54 +220,20 @@ std::vector<Real> ServeEngine::effective_resistance_batch(
       const common::MutexLock lock(stats_mutex_);
       ++stats_.errors;
       throw SglError(ErrorCode::kBadRequest,
-                     "effective_resistance_batch: invalid node pair (" +
+                     "effective_resistance: invalid node pair (" +
                          std::to_string(s) + ", " + std::to_string(t) +
                          ") for " + std::to_string(n) + " nodes");
     }
   }
-  if (pairs.empty()) return {};
-
-  // The blocks are full by construction, so skip the combiner and run
-  // apply_block directly, in chunks of at most batch_width columns: that
-  // bounds the per-request scratch however many pairs arrive, and since
-  // columns never interact the answers are bitwise those of one block.
-  // Same scatter arithmetic as the batched queue path:
-  // value_j = x_j[s] − x_j[t].
-  const Index total = static_cast<Index>(pairs.size());
-  const Index width = std::min(total, options_.batch_width);
-  la::MultiVector y(n, width);
-  la::MultiVector x(n, width);
-  std::vector<Real> values(pairs.size());
-  for (Index c0 = 0; c0 < total; c0 += width) {
-    const Index w = std::min(width, total - c0);
-    for (Index j = 0; j < w; ++j) {
-      const auto& [s, t] = pairs[static_cast<std::size_t>(c0 + j)];
-      y(s, j) = 1.0;
-      y(t, j) = -1.0;
-    }
-    try {
-      solver_ptr->apply_block(std::as_const(y).block(0, w), x.block(0, w),
-                              options_.num_threads);
-    } catch (...) {
-      const common::MutexLock lock(stats_mutex_);
-      ++stats_.errors;
-      throw;
-    }
-    {
-      const common::MutexLock lock(stats_mutex_);
-      ++stats_.batches;
-      ++stats_.width_flushes;
-      stats_.batched_columns += w;
-      stats_.max_batch_width = std::max(stats_.max_batch_width, w);
-    }
-    for (Index j = 0; j < w; ++j) {
-      const auto& [s, t] = pairs[static_cast<std::size_t>(c0 + j)];
-      values[static_cast<std::size_t>(c0 + j)] = x(s, j) - x(t, j);
-      y(s, j) = 0.0;
-      y(t, j) = 0.0;
-    }
+  // Inline, no combiner: each answer depends on its own pair only
+  // (DESIGN.md §10), so there is nothing to gain from waiting.
+  try {
+    return solver_ptr->effective_resistances(pairs, options_.num_threads);
+  } catch (...) {
+    const common::MutexLock lock(stats_mutex_);
+    ++stats_.errors;
+    throw;
   }
-  return values;
 }
 
 spectral::Embedding ServeEngine::embedding() {
@@ -381,13 +323,18 @@ void ServeEngine::enqueue_and_wait(Pending& p) {
         in_queue = true;
       }
       if (p.done) break;
-      if (leader_active_) {
+      // An empty queue means this request is in a batch already being
+      // solved: there is nothing to lead, so wait for the result rather
+      // than wait out a deadline for requests that may never come.
+      if (leader_active_ || queue_.empty()) {
         // Follower: maybe wake the leader early, then sleep until this
         // request's result is published or leadership frees up.
         if (static_cast<Index>(queue_.size()) >= options_.batch_width) {
           queue_cv_.notify_all();
         }
-        while (!p.done && leader_active_) queue_cv_.wait(queue_mutex_);
+        while (!p.done && (leader_active_ || queue_.empty())) {
+          queue_cv_.wait(queue_mutex_);
+        }
         if (p.done) break;
         continue;  // promoted: re-enter as a leader candidate
       }
@@ -502,27 +449,16 @@ void ServeEngine::execute_batch(const std::vector<Pending*>& batch,
       continue;
     }
     for (Index j = 0; j < w; ++j) {
-      Pending* p = reqs[static_cast<std::size_t>(j)];
       const auto col = x.col(j);
-      if (p->pair_probe) {
-        p->value = col[static_cast<std::size_t>(p->s)] -
-                   col[static_cast<std::size_t>(p->t)];
-      } else {
-        p->solution.assign(col.begin(), col.end());
-      }
+      reqs[static_cast<std::size_t>(j)]->solution.assign(col.begin(),
+                                                         col.end());
     }
   }
 }
 
 void ServeEngine::solve_one(Pending& p) {
   try {
-    la::Vector x = p.solver->apply(p.rhs);
-    if (p.pair_probe) {
-      p.value = x[static_cast<std::size_t>(p.s)] -
-                x[static_cast<std::size_t>(p.t)];
-    } else {
-      p.solution = std::move(x);
-    }
+    p.solution = p.solver->apply(p.rhs);
   } catch (...) {
     p.error = std::current_exception();
   }

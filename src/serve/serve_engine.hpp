@@ -6,20 +6,24 @@
 // (graph::GraphKey), and a cached spectral embedding — so a `solve`
 // after a `learn` costs two triangular sweeps, not a factorization.
 //
-// Batching. Single-RHS queries (solve / effective_resistance) that
-// arrive concurrently are coalesced by a leader/follower combiner: the
-// first thread to enqueue becomes the batch leader, waits until either
-// `batch_width` requests are pending or `flush_deadline_us` has elapsed,
-// then executes ONE apply_block over the gathered right-hand sides and
-// scatters per-request results. Followers sleep on a condition variable
-// until their slot is filled.
+// Batching. `solve` queries that arrive concurrently are coalesced by a
+// leader/follower combiner: the first thread to enqueue becomes the
+// batch leader, waits until either `batch_width` requests are pending or
+// `flush_deadline_us` has elapsed, then executes ONE apply_block over
+// the gathered right-hand sides and scatters per-request results.
+// Followers sleep on a condition variable until their slot is filled.
+// Resistance queries skip the combiner: on the Cholesky path each is a
+// sparse forward solve over two elimination-tree paths, far cheaper than
+// any wait (LaplacianPinvSolver::effective_resistances).
 //
 // Determinism. apply_block is documented bit-identical to per-column
 // apply() for every thread count and block width, and each request's
 // column depends only on its own right-hand side — so every response is
 // bitwise equal to the response a serial, unbatched server would have
 // produced, regardless of how requests interleave into batches. Batch
-// COMPOSITION is timing-dependent; batch RESULTS are not. That is the
+// COMPOSITION is timing-dependent; batch RESULTS are not. A resistance
+// is computed serially from its own pair, so it is bitwise the same for
+// every thread count, batch width and request form. That is the
 // guarantee the stress tests and the protocol integration test assert.
 #pragma once
 
@@ -45,9 +49,9 @@
 namespace sgl::serve {
 
 struct ServeOptions {
-  /// Flush a pending batch as soon as this many requests are queued.
-  /// 1 disables coalescing (every request is its own apply_block) —
-  /// the serial reference configuration.
+  /// Flush a pending batch as soon as this many solves are queued.
+  /// 1 disables coalescing (every solve is its own apply_block) — the
+  /// serial reference configuration.
   Index batch_width = 16;
   /// Microseconds a batch leader waits for the batch to fill before
   /// flushing whatever is queued. 0 flushes immediately (coalescing
@@ -69,12 +73,12 @@ struct ServeOptions {
 };
 
 /// Monotonic counters; snapshot via ServeEngine::stats(). `batches`
-/// counts apply_block calls, so `batches == 1` after a width-16
-/// coalesced flush is the "one block solve, not sixteen" receipt the
-/// benchmarks and tests check.
+/// counts the combiner's apply_block calls (solve traffic only), so
+/// `batches == 1` after a width-16 coalesced flush is the "one block
+/// solve, not sixteen" receipt the benchmarks and tests check.
 struct ServeStats {
   Index requests = 0;         ///< solve/resistance requests accepted.
-  Index batches = 0;          ///< apply_block flushes executed.
+  Index batches = 0;          ///< solve flushes executed.
   Index batched_columns = 0;  ///< total width across all flushes.
   Index max_batch_width = 0;
   Index width_flushes = 0;     ///< flushed because the batch filled.
@@ -139,17 +143,17 @@ class ServeEngine {
       const la::Vector& rhs,
       const std::optional<graph::GraphKey>& key = std::nullopt);
 
-  /// Effective resistance (e_s − e_t)ᵀ L⁺ (e_s − e_t), batched and
-  /// key-pinnable like solve().
+  /// Effective resistance (e_s − e_t)ᵀ L⁺ (e_s − e_t), key-pinnable like
+  /// solve(). Answered inline on the calling thread, never through the
+  /// combiner; bitwise LaplacianPinvSolver::effective_resistance.
   [[nodiscard]] Real effective_resistance(
       Index s, Index t,
       const std::optional<graph::GraphKey>& key = std::nullopt);
 
-  /// Answers many resistance queries without waiting on the combiner:
-  /// apply_block runs directly over chunks of at most batch_width pairs
-  /// (bitwise the answers of one block; the chunking bounds scratch).
-  /// The wire protocol's array form and the throughput benchmark use
-  /// this.
+  /// Many resistance queries in one call, each answered bitwise as
+  /// effective_resistance() would (LaplacianPinvSolver::
+  /// effective_resistances). The wire protocol's array form and the
+  /// throughput benchmark use this.
   [[nodiscard]] std::vector<Real> effective_resistance_batch(
       const std::vector<std::pair<Index, Index>>& pairs,
       const std::optional<graph::GraphKey>& key = std::nullopt);
@@ -169,17 +173,13 @@ class ServeEngine {
   }
 
  private:
-  /// One queued single-RHS query. Results are published by the batch
-  /// leader under queue_mutex_ (done flips last), so a follower that
-  /// observes done == true under the lock owns its result outright.
+  /// One queued solve. Results are published by the batch leader under
+  /// queue_mutex_ (done flips last), so a follower that observes
+  /// done == true under the lock owns its result outright.
   struct Pending {
     const solver::LaplacianPinvSolver* solver = nullptr;
     la::Vector rhs;
-    bool pair_probe = false;  ///< true: answer is x[s] − x[t].
-    Index s = 0;
-    Index t = 0;
-    la::Vector solution;  ///< full L⁺ rhs (solve requests).
-    Real value = 0.0;     ///< scalar answer (pair probes).
+    la::Vector solution;  ///< L⁺ rhs.
     bool done = false;
     std::exception_ptr error;
   };

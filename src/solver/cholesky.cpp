@@ -32,6 +32,7 @@ CholeskySolver::CholeskySolver(const la::CsrMatrix& a, OrderingMethod ordering,
   stats_.input_nnz = a.nnz();
 
   perm_ = compute_ordering(a, ordering);
+  build_inverse_permutation();
   const la::CsrMatrix pa = permute_symmetric(a, perm_);
 
   analyze(pa);
@@ -51,11 +52,18 @@ CholeskySolver::CholeskySolver(const la::CsrMatrix& a, std::vector<Index> perm,
   stats_.input_nnz = a.nnz();
 
   perm_ = std::move(perm);
+  build_inverse_permutation();
   const la::CsrMatrix pa = permute_symmetric(a, perm_);
 
   analyze(pa);
   factorize(pa, num_threads);
   stats_.factor_seconds = timer.seconds();
+}
+
+void CholeskySolver::build_inverse_permutation() {
+  inv_perm_.resize(perm_.size());
+  for (std::size_t i = 0; i < perm_.size(); ++i)
+    inv_perm_[static_cast<std::size_t>(perm_[i])] = to_index(i);
 }
 
 void CholeskySolver::analyze(const la::CsrMatrix& pa) {
@@ -814,6 +822,57 @@ void CholeskySolver::solve_in_place(la::Vector& x) const {
 
   for (Index i = 0; i < n_; ++i)
     x[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])] = b[static_cast<std::size_t>(i)];
+}
+
+Real CholeskySolver::difference_energy(Index s, Index t) const {
+  SGL_EXPECTS(s != t && s >= kInvalidIndex && s < n_ && t >= kInvalidIndex &&
+                  t < n_,
+              "CholeskySolver::difference_energy: need two distinct indices "
+              "(kInvalidIndex for an absent endpoint)");
+  // With P A Pᵀ = L D Lᵀ and z = L⁻¹ P b, bᵀ A⁻¹ b = Σ_j z_j² / d_j. A unit
+  // right-hand side at column i reaches exactly the elimination-tree path
+  // from i to its root, so z lives on the union of the two endpoint paths.
+  // Both walks climb (parents have larger indices); stepping whichever is
+  // lower visits that union once in ascending order, which is the order a
+  // column-oriented forward solve needs. Walks that end at a root park at
+  // n_. Scratch w holds the pending updates of the reach and is zero
+  // again on return: every row column j scatters to is an ancestor of j,
+  // so it is on the reach, read later, and cleared when read.
+  thread_local std::vector<Real> w;
+  if (w.size() < static_cast<std::size_t>(n_))
+    w.resize(static_cast<std::size_t>(n_), 0.0);
+  const auto parent = [this](Index j) {
+    const Index p = l_col_ptr_[static_cast<std::size_t>(j)];
+    return p < l_col_ptr_[static_cast<std::size_t>(j) + 1]
+               ? l_row_idx_[static_cast<std::size_t>(p)]
+               : n_;
+  };
+  Index a = n_;
+  Index b = n_;
+  if (s != kInvalidIndex) {
+    a = inv_perm_[static_cast<std::size_t>(s)];
+    w[static_cast<std::size_t>(a)] = 1.0;
+  }
+  if (t != kInvalidIndex) {
+    b = inv_perm_[static_cast<std::size_t>(t)];
+    w[static_cast<std::size_t>(b)] = -1.0;
+  }
+
+  Real energy = 0.0;
+  while (a < n_ || b < n_) {
+    const Index j = std::min(a, b);
+    const Real z = w[static_cast<std::size_t>(j)];
+    w[static_cast<std::size_t>(j)] = 0.0;
+    for (Index p = l_col_ptr_[static_cast<std::size_t>(j)];
+         p < l_col_ptr_[static_cast<std::size_t>(j) + 1]; ++p) {
+      w[static_cast<std::size_t>(l_row_idx_[static_cast<std::size_t>(p)])] -=
+          l_values_[static_cast<std::size_t>(p)] * z;
+    }
+    energy += z * z / d_[static_cast<std::size_t>(j)];
+    if (a == j) a = parent(j);
+    if (b == j) b = parent(j);
+  }
+  return energy;
 }
 
 la::Vector CholeskySolver::solve(const la::Vector& b) const {

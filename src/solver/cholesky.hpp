@@ -32,6 +32,9 @@
 //     kernels subtract every per-element term in ascending updater order
 //     with identical operand association, so the factor is bit-identical
 //     across kernels and for every thread count.
+//   - difference_energy answers bᵀ A⁻¹ b for b = e_s − e_t with a forward
+//     solve restricted to the elimination-tree paths of s and t (the
+//     reach of a two-entry right-hand side), for effective resistances.
 //   - Triangular solves come in a scalar flavour (solve / solve_in_place,
 //     the per-column reference path) and a block flavour (solve_block /
 //     solve_in_place_block) that streams the factor's nonzeros ONCE per
@@ -137,6 +140,15 @@ class CholeskySolver {
     return b;
   }
 
+  /// bᵀ A⁻¹ b for b = e_s − e_t by a sparse forward solve over the
+  /// elimination tree (DESIGN.md §4): only the two root paths of s and t
+  /// are touched, with no backward sweep. Either index may be
+  /// kInvalidIndex, which drops that term (the grounded node of a
+  /// Laplacian). Serial and allocation-free after a thread's first call
+  /// on a system this large (per-thread scratch), so the value is
+  /// bitwise the same on every thread.
+  [[nodiscard]] Real difference_energy(Index s, Index t) const;
+
   [[nodiscard]] Index size() const noexcept { return n_; }
   [[nodiscard]] const FactorStats& stats() const noexcept { return stats_; }
   /// The fill-reducing permutation in use (`perm[new] = old`) — feed it
@@ -157,6 +169,7 @@ class CholeskySolver {
   void refactorize(const la::CsrMatrix& a, Index num_threads = 0);
 
  private:
+  void build_inverse_permutation();
   void analyze(const la::CsrMatrix& pa);
   /// Refines the chain blocks into fundamental panels, sizes the panel
   /// storage, and precomputes the per-panel descendant-updater lists
@@ -198,7 +211,8 @@ class CholeskySolver {
                         la::Storage& w) const;
 
   Index n_ = 0;
-  std::vector<Index> perm_;  // perm_[new] = old
+  std::vector<Index> perm_;      // perm_[new] = old
+  std::vector<Index> inv_perm_;  // inv_perm_[old] = new
   // L in compressed-column form (unit diagonal implicit, rows ascending).
   std::vector<Index> l_col_ptr_;
   std::vector<Index> l_row_idx_;

@@ -248,15 +248,61 @@ void LaplacianPinvSolver::record_pcg_stats(Index columns, Index max_iters,
   pcg_stats_.converged_columns = converged;
 }
 
+Index LaplacianPinvSolver::grounded_index(Index v) const {
+  SGL_EXPECTS(v >= 0 && v < n_, "effective_resistance: node out of range");
+  if (v == ground_) return kInvalidIndex;
+  return v > ground_ ? v - 1 : v;
+}
+
 Real LaplacianPinvSolver::effective_resistance(Index s, Index t) const {
-  SGL_EXPECTS(s >= 0 && s < n_ && t >= 0 && t < n_,
-              "effective_resistance: node out of range");
+  const Index gs = grounded_index(s);
+  const Index gt = grounded_index(t);
   SGL_EXPECTS(s != t, "effective_resistance: distinct nodes required");
+  // Grounding does not change a potential difference, so the grounded
+  // system's bᵀ A⁻¹ b is the resistance (DESIGN.md §4).
+  if (cholesky_) return cholesky_->difference_energy(gs, gt);
   la::Vector e(static_cast<std::size_t>(n_), 0.0);
   e[static_cast<std::size_t>(s)] = 1.0;
   e[static_cast<std::size_t>(t)] = -1.0;
   const la::Vector x = apply(e);
   return x[static_cast<std::size_t>(s)] - x[static_cast<std::size_t>(t)];
+}
+
+std::vector<Real> LaplacianPinvSolver::effective_resistances(
+    std::span<const std::pair<Index, Index>> pairs, Index num_threads) const {
+  std::vector<Real> values(pairs.size());
+  if (cholesky_) {
+    for (std::size_t i = 0; i < pairs.size(); ++i)
+      values[i] = effective_resistance(pairs[i].first, pairs[i].second);
+    return values;
+  }
+  for (const auto& [s, t] : pairs) {
+    SGL_EXPECTS(s >= 0 && s < n_ && t >= 0 && t < n_ && s != t,
+                "effective_resistances: bad node pair");
+  }
+  // PCG: probe columns e_s − e_t through apply_block, kResistanceChunk at
+  // a time to bound the scratch. Columns never interact, so each value
+  // is bitwise the one apply() gives: x[s] − x[t].
+  const Index total = to_index(pairs.size());
+  const Index width = std::min(total, kResistanceChunk);
+  la::MultiVector y(n_, width);
+  la::MultiVector x(n_, width);
+  for (Index c0 = 0; c0 < total; c0 += width) {
+    const Index w = std::min(width, total - c0);
+    for (Index j = 0; j < w; ++j) {
+      const auto& [s, t] = pairs[static_cast<std::size_t>(c0 + j)];
+      y(s, j) = 1.0;
+      y(t, j) = -1.0;
+    }
+    apply_block(std::as_const(y).block(0, w), x.block(0, w), num_threads);
+    for (Index j = 0; j < w; ++j) {
+      const auto& [s, t] = pairs[static_cast<std::size_t>(c0 + j)];
+      values[static_cast<std::size_t>(c0 + j)] = x(s, j) - x(t, j);
+      y(s, j) = 0.0;
+      y(t, j) = 0.0;
+    }
+  }
+  return values;
 }
 
 }  // namespace sgl::solver

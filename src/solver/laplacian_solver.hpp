@@ -12,8 +12,10 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.hpp"
@@ -135,7 +137,19 @@ class LaplacianPinvSolver {
   }
 
   /// Effective resistance between s and t: (e_s − e_t)ᵀ L⁺ (e_s − e_t).
+  /// On the Cholesky path a sparse forward solve over the two
+  /// elimination-tree paths of s and t (CholeskySolver::difference_energy,
+  /// no full sweep); on the PCG path x[s] − x[t] of x = apply(e_s − e_t).
+  /// Serial per pair, so bitwise the same on every thread.
   [[nodiscard]] Real effective_resistance(Index s, Index t) const;
+
+  /// effective_resistance over many pairs, each answered bitwise as a
+  /// single call would. The Cholesky path loops over the kernel; the PCG
+  /// path runs the probe columns e_s − e_t through apply_block a fixed
+  /// chunk at a time (`num_threads` as for apply_block).
+  [[nodiscard]] std::vector<Real> effective_resistances(
+      std::span<const std::pair<Index, Index>> pairs,
+      Index num_threads = 0) const;
 
   [[nodiscard]] Index num_nodes() const noexcept { return n_; }
 
@@ -182,6 +196,12 @@ class LaplacianPinvSolver {
   }
 
  private:
+  /// Probe columns per apply_block in effective_resistances (PCG path).
+  static constexpr Index kResistanceChunk = 16;
+
+  /// Node → grounded-system index; kInvalidIndex for the ground node.
+  [[nodiscard]] Index grounded_index(Index v) const;
+
   /// One grounded solve: the shared per-column kernel behind apply() and
   /// apply_block(). `y` and `x` may alias.
   void apply_column(std::span<const Real> y, std::span<Real> x) const;

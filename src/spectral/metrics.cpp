@@ -140,28 +140,9 @@ ResistanceComparison compare_effective_resistances(
   const solver::LaplacianPinvSolver& pinv_learned =
       solvers.learned != nullptr ? *solvers.learned : *local_learned;
 
-  // All probe vectors e_s − e_t go through one multi-RHS block solve per
-  // graph instead of a solve per pair.
-  const Index n = reference.num_nodes();
-  la::DenseMatrix probes(n, to_index(pairs.size()));
-  for (std::size_t p = 0; p < pairs.size(); ++p) {
-    const auto& [s, t] = pairs[p];
-    SGL_EXPECTS(s >= 0 && s < n && t >= 0 && t < n && s != t,
-                "compare_effective_resistances: bad node pair");
-    probes(s, to_index(p)) = 1.0;
-    probes(t, to_index(p)) = -1.0;
-  }
-  const la::DenseMatrix x_ref = pinv_ref.apply_block(probes);
-  const la::DenseMatrix x_learned = pinv_learned.apply_block(probes);
-
   ResistanceComparison out;
-  out.reference.reserve(pairs.size());
-  out.approx.reserve(pairs.size());
-  for (std::size_t p = 0; p < pairs.size(); ++p) {
-    const auto& [s, t] = pairs[p];
-    out.reference.push_back(x_ref(s, to_index(p)) - x_ref(t, to_index(p)));
-    out.approx.push_back(x_learned(s, to_index(p)) - x_learned(t, to_index(p)));
-  }
+  out.reference = pinv_ref.effective_resistances(pairs);
+  out.approx = pinv_learned.effective_resistances(pairs);
   out.correlation = pearson_correlation(out.reference, out.approx);
   return out;
 }

@@ -42,6 +42,18 @@ TEST(Generators, Grid3dEdgeCount) {
   EXPECT_TRUE(is_connected(g));
 }
 
+TEST(Generators, GridNodeCountMustFitIndex) {
+  // 65536² and 2048³ are 2³² and 2³³ nodes: rejected before anything is
+  // allocated instead of wrapping the int32 product.
+  EXPECT_THROW((void)make_grid2d(65536, 65536), ContractViolation);
+  EXPECT_THROW((void)make_grid3d(2048, 2048, 2048), ContractViolation);
+  EXPECT_THROW((void)make_grid3d(1, 65536, 65536), ContractViolation);
+  TriMeshOptions mesh;
+  mesh.nx = 65536;
+  mesh.ny = 65536;
+  EXPECT_THROW((void)make_triangulated_mesh(mesh), ContractViolation);
+}
+
 TEST(Generators, ErdosRenyiExtremes) {
   Rng rng(3);
   EXPECT_EQ(make_erdos_renyi(10, 0.0, rng).num_edges(), 0);

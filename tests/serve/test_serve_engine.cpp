@@ -1,10 +1,13 @@
 // ServeEngine semantics: batched answers are bitwise the serial answers,
-// one coalesced batch runs ONE apply_block (the ServeStats receipt), the
+// one coalesced batch of solves runs ONE apply_block (the ServeStats
+// receipt), resistances are answered inline without a batch, the
 // factorization LRU evicts and refills correctly, and every failure
 // carries a stable ErrorCode — clients never parse message text.
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <functional>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -75,8 +78,47 @@ TEST(ServeEngine, SolveMatchesDirectSolverBitwise) {
   }
 }
 
+/// Right-hand side e_i − e_j (i ≠ j) for the solve traffic below.
+la::Vector dipole(Index n, Index i, Index j) {
+  la::Vector rhs(static_cast<std::size_t>(n), 0.0);
+  rhs[static_cast<std::size_t>(i)] = 1.0;
+  rhs[static_cast<std::size_t>(j)] = -1.0;
+  return rhs;
+}
+
+/// Issues rhs.size() solves at once, one std::thread each, and returns
+/// the answers in request order. With a flush deadline far above the
+/// thread start-up time, a batch_width-b engine coalesces them into
+/// full width-b batches only.
+std::vector<la::Vector> concurrent_solves(ServeEngine& engine,
+                                          const std::vector<la::Vector>& rhs) {
+  std::vector<la::Vector> got(rhs.size());
+  std::vector<std::exception_ptr> errors(rhs.size());
+  std::vector<std::thread> clients;
+  clients.reserve(rhs.size());
+  for (std::size_t i = 0; i < rhs.size(); ++i) {
+    clients.emplace_back([&, i] {
+      try {
+        got[i] = engine.solve(rhs[i]);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    });
+  }
+  for (std::thread& c : clients) c.join();
+  for (const std::exception_ptr& e : errors) {
+    if (e != nullptr) std::rethrow_exception(e);
+  }
+  return got;
+}
+
+/// A deadline no test run comes near: batches flush only when full.
+constexpr Index kNeverUs = 30'000'000;
+
 TEST(ServeEngine, BatchedResistanceIsBitwiseSerialAndOneApplyBlock) {
   const graph::Graph g = grid(12, 12);
+  const Index n = g.num_nodes();
+  const solver::LaplacianPinvSolver reference(g);
 
   // Serial reference: width-1 engine answers one request per block.
   ServeOptions serial_options;
@@ -84,42 +126,62 @@ TEST(ServeEngine, BatchedResistanceIsBitwiseSerialAndOneApplyBlock) {
   ServeEngine serial(serial_options);
   (void)serial.load_graph(g);
 
-  ServeEngine batched;  // default width 16
+  ServeOptions options;  // default width 16
+  options.flush_deadline_us = kNeverUs;
+  ServeEngine batched(options);
   (void)batched.load_graph(g);
 
   std::vector<std::pair<Index, Index>> pairs;
   for (Index i = 0; i < 16; ++i) pairs.emplace_back(i, 143 - i);
 
+  // Resistances are answered inline: bitwise the solver's value, the
+  // same single or batched, and no combiner batch.
   const std::vector<Real> block = batched.effective_resistance_batch(pairs);
   ASSERT_EQ(block.size(), pairs.size());
   for (std::size_t j = 0; j < pairs.size(); ++j) {
     const Real one =
         serial.effective_resistance(pairs[j].first, pairs[j].second);
     EXPECT_EQ(block[j], one) << "pair " << j;
+    EXPECT_EQ(block[j], reference.effective_resistance(pairs[j].first,
+                                                       pairs[j].second))
+        << "pair " << j;
   }
+  EXPECT_EQ(batched.stats().batches, 0);
+  EXPECT_EQ(serial.stats().batches, 0);
 
-  // The receipt: 16 queries, ONE apply_block of width 16.
+  // The receipt: 16 concurrent solves, ONE apply_block of width 16,
+  // each answer bitwise the serial one.
+  std::vector<la::Vector> rhs;
+  for (const auto& [s, t] : pairs) rhs.push_back(dipole(n, s, t));
+  const std::vector<la::Vector> got = concurrent_solves(batched, rhs);
+  for (std::size_t j = 0; j < rhs.size(); ++j) {
+    EXPECT_EQ(got[j], serial.solve(rhs[j])) << "solve " << j;
+  }
   const ServeStats stats = batched.stats();
-  EXPECT_EQ(stats.requests, 16);
+  EXPECT_EQ(stats.requests, 32);
   EXPECT_EQ(stats.batches, 1);
   EXPECT_EQ(stats.batched_columns, 16);
   EXPECT_EQ(stats.max_batch_width, 16);
 
-  // The serial engine ran one single-column batch per query.
+  // The serial engine ran one single-column batch per solve.
   const ServeStats serial_stats = serial.stats();
-  EXPECT_EQ(serial_stats.requests, 16);
+  EXPECT_EQ(serial_stats.requests, 32);
   EXPECT_EQ(serial_stats.batches, 16);
   EXPECT_EQ(serial_stats.max_batch_width, 1);
 }
 
 TEST(ServeEngine, LongBatchRunsInWidthChunksBitwiseSerial) {
   const graph::Graph g = grid(12, 12);
+  const Index n = g.num_nodes();
+  const solver::LaplacianPinvSolver reference(g);
   ServeOptions serial_options;
   serial_options.batch_width = 1;
   ServeEngine serial(serial_options);
   (void)serial.load_graph(g);
 
-  ServeEngine batched;  // default width 16
+  ServeOptions options;  // default width 16
+  options.flush_deadline_us = kNeverUs;
+  ServeEngine batched(options);
   (void)batched.load_graph(g);
 
   std::vector<std::pair<Index, Index>> pairs;
@@ -130,19 +192,30 @@ TEST(ServeEngine, LongBatchRunsInWidthChunksBitwiseSerial) {
     EXPECT_EQ(block[j],
               serial.effective_resistance(pairs[j].first, pairs[j].second))
         << "pair " << j;
+    EXPECT_EQ(block[j], reference.effective_resistance(pairs[j].first,
+                                                       pairs[j].second))
+        << "pair " << j;
   }
-
-  // 64 pairs ran as four width-16 blocks, never one 64-wide block.
-  const ServeStats stats = batched.stats();
-  EXPECT_EQ(stats.requests, 64);
-  EXPECT_EQ(stats.batches, 4);
-  EXPECT_EQ(stats.batched_columns, 64);
-  EXPECT_EQ(stats.max_batch_width, 16);
-
-  // A ragged tail (40 = 16 + 16 + 8) answers the same way.
+  // A shorter batch answers the same way, and neither adds a batch.
   pairs.resize(40);
   const std::vector<Real> ragged = batched.effective_resistance_batch(pairs);
   for (std::size_t j = 0; j < pairs.size(); ++j) EXPECT_EQ(ragged[j], block[j]);
+  EXPECT_EQ(batched.stats().batches, 0);
+
+  // 64 concurrent solves ran as four width-16 blocks, never one 64-wide
+  // block, bitwise the serial answers.
+  std::vector<la::Vector> rhs;
+  for (Index i = 0; i < 64; ++i) rhs.push_back(dipole(n, i, (i * 37 + 71) % 144));
+  const std::vector<la::Vector> got = concurrent_solves(batched, rhs);
+  for (std::size_t j = 0; j < rhs.size(); ++j) {
+    EXPECT_EQ(got[j], serial.solve(rhs[j])) << "solve " << j;
+  }
+  const ServeStats stats = batched.stats();
+  EXPECT_EQ(stats.requests, 64 + 40 + 64);
+  EXPECT_EQ(stats.batches, 4);
+  EXPECT_EQ(stats.batched_columns, 64);
+  EXPECT_EQ(stats.max_batch_width, 16);
+  EXPECT_EQ(stats.width_flushes, 4);
 }
 
 TEST(ServeEngine, ConcurrentMissesOnOneKeyFactorizeOnce) {

@@ -89,6 +89,89 @@ TEST(ServeProtocol, BadRequestFieldsAreTyped) {
       "bad-request");  // malformed key
 }
 
+std::string error_message_of(const std::string& response) {
+  return json_parse(response).find("error")->find("message")->as_string();
+}
+
+TEST(ServeProtocol, IndexFieldsOutsideTheIndexRangeAreBadRequests) {
+  // Integral doubles beyond the 32-bit node index are named and refused
+  // at the boundary, never cast (a wrapped cast reads back as
+  // -2147483648 and is undefined behaviour).
+  ServeEngine engine;
+  ASSERT_EQ(error_code_of(handle_request(
+                engine, R"({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2]]})")
+                              .response),
+            "");
+  const struct {
+    const char* request;
+    const char* field;
+  } cases[] = {
+      {R"({"op":"resistance","s":3e9,"t":1})", "'s'"},
+      {R"({"op":"resistance","s":0,"t":-3e9})", "'t'"},
+      {R"({"op":"resistance_batch","pairs":[[0,1],[4294967297,2]]})",
+       "'pair endpoint'"},
+      {R"({"op":"load_graph","num_nodes":5e9,"edges":[]})", "'num_nodes'"},
+      {R"({"op":"load_graph","num_nodes":3,"edges":[[0,2147483648]]})",
+       "'edge endpoint'"},
+      {R"({"op":"learn_synthetic","graph":"grid2d","nx":3e9,"ny":4})", "'nx'"},
+      {R"({"op":"learn_synthetic","graph":"grid2d","nx":4,"ny":4,"measurements":-3e9})",
+       "'measurements'"},
+  };
+  for (const auto& c : cases) {
+    const std::string response = handle_request(engine, c.request).response;
+    EXPECT_EQ(error_code_of(response), "bad-request") << c.request;
+    const std::string message = error_message_of(response);
+    EXPECT_NE(message.find(std::string("field ") + c.field + " is out of range"),
+              std::string::npos)
+        << c.request << " -> " << message;
+    EXPECT_EQ(message.find("-2147483648"), std::string::npos) << message;
+  }
+  // The largest Index is still a valid (if out-of-graph) node id.
+  EXPECT_EQ(error_code_of(handle_request(
+                engine, R"({"op":"resistance","s":0,"t":2147483647})")
+                              .response),
+            "bad-request");
+}
+
+TEST(ServeProtocol, SeedsBeyondTheIndexRangeStayDistinct) {
+  // The seed is a 64-bit value, not a node index: two large seeds learn
+  // from different measurements.
+  ServeEngine engine;
+  const auto key_for = [&](const char* seed) {
+    const JsonValue v = json_parse(
+        handle_request(engine, std::string(R"({"op":"learn_synthetic",)"
+                                           R"("graph":"grid2d","nx":6,"ny":6,)"
+                                           R"("measurements":20,"seed":)") +
+                                   seed + "}")
+            .response);
+    EXPECT_TRUE(v.find("ok")->as_bool());
+    return json_serialize(*v.find("key"));
+  };
+  EXPECT_NE(key_for("3000000000"), key_for("3000000001"));
+}
+
+TEST(ServeProtocol, OversizedSyntheticLearnIsRefusedBeforeAllocating) {
+  ServeEngine engine;
+  for (const char* request : {
+           // 10¹⁰ nodes: the int32 product nx * ny would wrap.
+           R"({"op":"learn_synthetic","graph":"grid2d","nx":100000,"ny":100000})",
+           R"({"op":"learn_synthetic","graph":"tri_mesh","nx":100000,"ny":100000})",
+           // 2049 x 2048 nodes: one row above the node bound.
+           R"({"op":"learn_synthetic","graph":"grid2d","nx":2049,"ny":2048,"measurements":1})",
+           // Within the node bound, but 2²² nodes x 100 measurements is
+           // 3.2 GiB per measurement matrix.
+           R"({"op":"learn_synthetic","graph":"grid2d","nx":2048,"ny":2048,"measurements":100})",
+           R"({"op":"learn_synthetic","graph":"grid2d","nx":1000,"ny":1000,"measurements":2147483647})",
+       }) {
+    const std::string response = handle_request(engine, request).response;
+    EXPECT_EQ(error_code_of(response), "bad-request") << request;
+    EXPECT_NE(error_message_of(response).find("exceeds the limit"),
+              std::string::npos)
+        << response;
+  }
+  EXPECT_EQ(engine.stats().learns, 0);
+}
+
 TEST(ServeProtocol, LearnSyntheticSolveAndStats) {
   ServeEngine engine;
   const ProtocolResult learned = handle_request(

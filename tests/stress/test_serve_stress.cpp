@@ -1,7 +1,8 @@
 // Concurrent-client stress for the serving layer (TSan-targeted, like
 // the rest of the stress module): many oversubscribed workers hammer one
 // ServeEngine with mixed solve / effective-resistance traffic while the
-// micro-batching combiner coalesces them into shared apply_block calls.
+// micro-batching combiner coalesces the solves into shared apply_block
+// calls and the resistances run inline on the client threads.
 // Every concurrent answer must be bitwise equal to a serial replay of
 // the same request — the combiner may change BATCH COMPOSITION, never
 // bytes. Also covered: LRU eviction/refill under concurrency and the
@@ -19,6 +20,7 @@
 #include "common/parallel.hpp"
 #include "graph/generators.hpp"
 #include "serve/serve_engine.hpp"
+#include "solver/laplacian_solver.hpp"
 
 namespace sgl::serve {
 namespace {
@@ -61,13 +63,20 @@ TEST(ServeStress, ConcurrentMixedTrafficIsBitwiseSerial) {
   serial_options.batch_width = 1;
   ServeEngine serial(serial_options);
   (void)serial.load_graph(g);
+  const solver::LaplacianPinvSolver reference(g);
   std::vector<la::Vector> expected_solve(plan.size());
   std::vector<Real> expected_value(plan.size(), 0.0);
+  Index solves = 0;
   for (std::size_t i = 0; i < plan.size(); ++i) {
     if (plan[i].is_solve) {
       expected_solve[i] = serial.solve(rhs_for(plan[i]));
+      ++solves;
     } else {
       expected_value[i] = serial.effective_resistance(plan[i].s, plan[i].t);
+      // Inline resistances are the solver's own value, bit for bit.
+      ASSERT_EQ(expected_value[i],
+                reference.effective_resistance(plan[i].s, plan[i].t))
+          << "request " << i;
     }
   }
 
@@ -109,7 +118,8 @@ TEST(ServeStress, ConcurrentMixedTrafficIsBitwiseSerial) {
 
     const ServeStats stats = engine.stats();
     EXPECT_EQ(stats.requests, kRequests);
-    EXPECT_EQ(stats.batched_columns, kRequests);  // every request served once
+    // Every solve served once by the combiner; resistances bypass it.
+    EXPECT_EQ(stats.batched_columns, solves);
     EXPECT_EQ(stats.errors, 0);
     EXPECT_LE(stats.max_batch_width, options.batch_width);
   }

@@ -2,10 +2,11 @@
 //
 // Speaks the newline-delimited JSON protocol (src/serve/protocol.hpp,
 // DESIGN.md §10) over a unix-domain stream socket. One thread per
-// connection; concurrent single-RHS queries from different connections
+// connection; concurrent `solve` queries from different connections
 // coalesce in the ServeEngine's micro-batching combiner into shared
-// apply_block calls, and every response is bitwise identical to what a
-// serial server would have sent (solver block bit-equality contract).
+// apply_block calls (resistance queries are answered inline), and every
+// response is bitwise identical to what a serial server would have sent
+// (solver block bit-equality contract).
 //
 //   sgl_serve --socket /tmp/sgl.sock [--batch-width 16] [--deadline-us 200]
 //             [--cache 4] [--threads 0] [--solver auto] [--engine auto]
@@ -56,7 +57,7 @@ void usage() {
       "\n"
       "options:\n"
       "  --socket <path>      unix socket path      (default sgl_serve.sock)\n"
-      "  --batch-width <int>  coalesce up to b queries per block solve\n"
+      "  --batch-width <int>  coalesce up to b solves per block solve\n"
       "                       (default 16; 1 disables batching)\n"
       "  --deadline-us <int>  batch fill deadline in microseconds\n"
       "                       (default 200)\n"

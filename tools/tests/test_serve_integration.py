@@ -9,8 +9,10 @@ drives the same NDJSON request stream against both:
     (the solver's block bit-equality contract surfaced over the wire);
   * malformed requests must come back as typed error envelopes with
     stable ErrorCode names, never free-text to parse;
-  * concurrent client connections must coalesce into batches without
-    changing a single response byte;
+  * concurrent `solve` requests must coalesce into batches without
+    changing a single response byte, and concurrent resistance requests
+    (answered inline, outside the combiner) must match as well and add
+    no batch;
   * `shutdown` must stop the daemon cleanly (exit code 0).
 
 Usage: test_serve_integration.py /path/to/sgl_serve
@@ -182,36 +184,48 @@ def main():
         check(code == "parse-error", "got code %r" % code)
 
         # --- Concurrent clients still match the serial bytes -----------
-        expected = {}
-        for i in range(24):
-            req = {"op": "resistance", "s": i, "t": 99 - i, "id": i}
-            expected[i] = serial.request(req)
+        def resistance(i):
+            return {"op": "resistance", "s": i, "t": 99 - i, "id": i}
 
-        results = {}
-        lock = threading.Lock()
+        def solve(i):
+            rhs = [0.0] * 100
+            rhs[i] = 1.0
+            rhs[99 - i] = -1.0
+            return {"op": "solve", "rhs": rhs, "id": i}
 
-        def worker(ids):
-            with batched.connect() as client:
-                for i in ids:
-                    req = {"op": "resistance", "s": i, "t": 99 - i, "id": i}
-                    resp = request_on(client, req)
-                    with lock:
-                        results[i] = resp
+        def concurrent(make_request):
+            expected = {i: serial.request(make_request(i)) for i in range(24)}
+            results = {}
+            lock = threading.Lock()
 
-        threads = [threading.Thread(target=worker,
-                                    args=(range(w, 24, 8),))
-                   for w in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        for i in range(24):
-            check(results[i] == expected[i],
-                  "concurrent response %d differs:\n  batched: %r\n  serial:  %r"
-                  % (i, results[i][:400], expected[i][:400]))
+            def worker(ids):
+                with batched.connect() as client:
+                    for i in ids:
+                        resp = request_on(client, make_request(i))
+                        with lock:
+                            results[i] = resp
 
+            threads = [threading.Thread(target=worker,
+                                        args=(range(w, 24, 8),))
+                       for w in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            for i in range(24):
+                check(results[i] == expected[i],
+                      "concurrent response %d differs:\n  batched: %r\n"
+                      "  serial:  %r" % (i, results[i][:400], expected[i][:400]))
+
+        before = json.loads(batched.request({"op": "stats"}))
+        concurrent(resistance)
         stats = json.loads(batched.request({"op": "stats"}))
-        check(stats["batched_columns"] >= 24, "stats lost columns: %r" % stats)
+        check(stats["batches"] == before["batches"],
+              "resistance requests ran combiner batches: %r" % stats)
+        concurrent(solve)
+        stats = json.loads(batched.request({"op": "stats"}))
+        # The 24 solves are the stream's only combiner traffic.
+        check(stats["batched_columns"] == 24, "stats lost columns: %r" % stats)
         # Only engine-level failures count (s == t); parse/protocol errors
         # are rejected before the engine sees them.
         check(stats["errors"] == 1, "typed errors not counted: %r" % stats)
