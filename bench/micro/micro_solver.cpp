@@ -4,6 +4,7 @@
 // as the fallback for factors too large to fit).
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -90,19 +91,22 @@ BENCHMARK(BM_OrderingGrid)
 // --- Supernodal dense-panel kernels vs the PR4 scalar path ------------
 // Same 192² mesh, same nested-dissection ordering and level schedule;
 // only the numeric kernel differs. Symbolic analysis runs once outside
-// the loop (refactorize keeps it), so the timing isolates exactly the
-// phase the panel kernels rewrote. The factors are bitwise-identical —
+// the loop and every iteration factors on it, so the timing isolates
+// exactly the phase the panel kernels rewrote. The factors are bitwise-identical —
 // the delta is pure arithmetic/layout.
 
 void BM_FactorLevelScheduled(benchmark::State& state) {
   const la::CsrMatrix a = mesh_matrix(192);
   const Index threads = static_cast<Index>(state.range(0));
-  solver::CholeskySolver chol(a, solver::OrderingMethod::kNestedDissection,
-                              threads, solver::FactorKernel::kScalar);
+  const auto symbolic = std::make_shared<const solver::CholeskySymbolic>(
+      a, solver::OrderingMethod::kNestedDissection);
   for (auto _ : state) {
-    chol.refactorize(a, threads);
-    benchmark::DoNotOptimize(chol.stats().factor_nnz);
+    const solver::CholeskySolver factor(a, symbolic, threads,
+                                        solver::FactorKernel::kScalar);
+    benchmark::DoNotOptimize(factor.diagonal().data());
   }
+  const solver::CholeskySolver chol(a, symbolic, threads,
+                                    solver::FactorKernel::kScalar);
   state.counters["factor_nnz"] = static_cast<double>(chol.stats().factor_nnz);
 }
 BENCHMARK(BM_FactorLevelScheduled)
@@ -115,12 +119,15 @@ BENCHMARK(BM_FactorLevelScheduled)
 void BM_FactorSupernodal(benchmark::State& state) {
   const la::CsrMatrix a = mesh_matrix(192);
   const Index threads = static_cast<Index>(state.range(0));
-  solver::CholeskySolver chol(a, solver::OrderingMethod::kNestedDissection,
-                              threads, solver::FactorKernel::kSupernodal);
+  const auto symbolic = std::make_shared<const solver::CholeskySymbolic>(
+      a, solver::OrderingMethod::kNestedDissection);
   for (auto _ : state) {
-    chol.refactorize(a, threads);
-    benchmark::DoNotOptimize(chol.stats().factor_nnz);
+    const solver::CholeskySolver factor(a, symbolic, threads,
+                                        solver::FactorKernel::kSupernodal);
+    benchmark::DoNotOptimize(factor.diagonal().data());
   }
+  const solver::CholeskySolver chol(a, symbolic, threads,
+                                    solver::FactorKernel::kSupernodal);
   state.counters["factor_nnz"] = static_cast<double>(chol.stats().factor_nnz);
   state.counters["panel_columns"] =
       static_cast<double>(chol.stats().panel_columns);

@@ -15,6 +15,16 @@ la::Vector Graph::weighted_degrees() const {
 }
 
 la::CsrMatrix Graph::laplacian() const {
+  return assemble_laplacian(kInvalidIndex);
+}
+
+la::CsrMatrix Graph::reduced_laplacian(Index ground) const {
+  SGL_EXPECTS(ground >= 0 && ground < num_nodes_,
+              "reduced_laplacian: ground node out of range");
+  return assemble_laplacian(ground);
+}
+
+la::CsrMatrix Graph::assemble_laplacian(Index ground) const {
   // Row-by-row assembly that is bit-identical to from_triplets over the
   // stamp list (s,s,w), (t,t,w), (s,t,−w), (t,s,−w) per edge, then a
   // structural-zero (i,i,0) per node — isolated nodes still need their
@@ -27,30 +37,52 @@ la::CsrMatrix Graph::laplacian() const {
   // (col, value) run with the same comparator makes the same comparisons
   // and moves, hence the same CSR bit for bit; summing in edge order
   // instead moves coarse-level diagonals by an ulp.
+  //
+  // With a ground node the stamp list is the grounded one: stamps on the
+  // ground's row or column are dropped, the other indices shift down past
+  // it, and no structural zeros are added — a run is then, per incident
+  // edge, (r, w) and, unless the other end is the ground, (other, −w).
   struct Stamp {
     Index col;
     Real value;
   };
-  const std::size_t n = static_cast<std::size_t>(num_nodes_);
+  const bool grounded = ground != kInvalidIndex;
+  const auto reduced = [grounded, ground](Index v) {
+    return grounded && v > ground ? v - 1 : v;
+  };
+  const Index rows = grounded ? num_nodes_ - 1 : num_nodes_;
+  const std::size_t n = static_cast<std::size_t>(rows);
   std::vector<Index> run_ptr(n + 1, 0);
   for (const Edge& e : edges_) {
-    run_ptr[static_cast<std::size_t>(e.s) + 1] += 2;
-    run_ptr[static_cast<std::size_t>(e.t) + 1] += 2;
+    const Index both = (e.s != ground && e.t != ground) ? 2 : 1;
+    if (e.s != ground) run_ptr[static_cast<std::size_t>(reduced(e.s)) + 1] += both;
+    if (e.t != ground) run_ptr[static_cast<std::size_t>(reduced(e.t)) + 1] += both;
   }
-  for (std::size_t i = 0; i < n; ++i) run_ptr[i + 1] += run_ptr[i] + 1;
+  const Index closing = grounded ? 0 : 1;
+  for (std::size_t i = 0; i < n; ++i) run_ptr[i + 1] += run_ptr[i] + closing;
 
   std::vector<Stamp> stamps(static_cast<std::size_t>(run_ptr[n]));
   std::vector<Index> cursor(run_ptr.begin(), run_ptr.end() - 1);
   for (const Edge& e : edges_) {
-    Index& ps = cursor[static_cast<std::size_t>(e.s)];
-    stamps[static_cast<std::size_t>(ps++)] = {e.s, e.weight};
-    stamps[static_cast<std::size_t>(ps++)] = {e.t, -e.weight};
-    Index& pt = cursor[static_cast<std::size_t>(e.t)];
-    stamps[static_cast<std::size_t>(pt++)] = {e.t, e.weight};
-    stamps[static_cast<std::size_t>(pt++)] = {e.s, -e.weight};
+    const bool s_live = e.s != ground;
+    const bool t_live = e.t != ground;
+    const Index s = reduced(e.s);
+    const Index t = reduced(e.t);
+    if (s_live) {
+      Index& ps = cursor[static_cast<std::size_t>(s)];
+      stamps[static_cast<std::size_t>(ps++)] = {s, e.weight};
+      if (t_live) stamps[static_cast<std::size_t>(ps++)] = {t, -e.weight};
+    }
+    if (t_live) {
+      Index& pt = cursor[static_cast<std::size_t>(t)];
+      stamps[static_cast<std::size_t>(pt++)] = {t, e.weight};
+      if (s_live) stamps[static_cast<std::size_t>(pt++)] = {s, -e.weight};
+    }
   }
-  for (std::size_t i = 0; i < n; ++i)
-    stamps[static_cast<std::size_t>(cursor[i])] = {static_cast<Index>(i), 0.0};
+  if (!grounded) {
+    for (std::size_t i = 0; i < n; ++i)
+      stamps[static_cast<std::size_t>(cursor[i])] = {static_cast<Index>(i), 0.0};
+  }
 
   // Sort each run, then compact it in place: the write position never
   // passes the read position, so the runs need no second buffer.
@@ -77,8 +109,8 @@ la::CsrMatrix Graph::laplacian() const {
     col_idx[k] = stamps[k].col;
     values[k] = stamps[k].value;
   }
-  return la::CsrMatrix(num_nodes_, num_nodes_, std::move(row_ptr),
-                       std::move(col_idx), std::move(values));
+  return la::CsrMatrix(rows, rows, std::move(row_ptr), std::move(col_idx),
+                       std::move(values));
 }
 
 la::CsrMatrix Graph::adjacency() const {

@@ -104,6 +104,10 @@ class Graph {
   /// Graph Laplacian L = D − W as CSR (paper eq. 3).
   [[nodiscard]] la::CsrMatrix laplacian() const;
 
+  /// L with row and column `ground` deleted (node i > ground becomes
+  /// i − 1): the reduced system solver::grounded_laplacian returns.
+  [[nodiscard]] la::CsrMatrix reduced_laplacian(Index ground) const;
+
   /// Weighted adjacency matrix W as CSR.
   [[nodiscard]] la::CsrMatrix adjacency() const;
 
@@ -111,6 +115,10 @@ class Graph {
   [[nodiscard]] AdjacencyList adjacency_list() const;
 
  private:
+  /// Row-by-row assembly behind laplacian() (ground == kInvalidIndex)
+  /// and reduced_laplacian(ground).
+  [[nodiscard]] la::CsrMatrix assemble_laplacian(Index ground) const;
+
   Index num_nodes_ = 0;
   std::vector<Edge> edges_;
 };

@@ -18,7 +18,8 @@ namespace {
 /// Recursive-descent parser over a string_view with an explicit cursor.
 class Parser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  explicit Parser(std::string_view text, TupleCapture* capture = nullptr)
+      : text_(text), capture_(capture) {}
 
   JsonValue parse_document() {
     JsonValue v = parse_value();
@@ -88,6 +89,11 @@ class Parser {
         if (peek() != '"') parse_fail("expected member key string", pos_);
         std::string key = parse_string();
         expect(':');
+        if (depth_ == 1 && capture_ != nullptr && !capture_->captured &&
+            key == capture_->member && capture_tuples()) {
+          members.emplace_back(std::move(key), JsonValue(JsonValue::Array{}));
+          continue;
+        }
         members.emplace_back(std::move(key), parse_value());
       } while (consume(','));
       expect('}');
@@ -101,6 +107,9 @@ class Parser {
     expect('[');
     JsonValue::Array elements;
     if (!consume(']')) {
+      // Short arrays (node pairs, edge tuples) then take one allocation
+      // instead of up to three.
+      elements.reserve(4);
       do {
         elements.push_back(parse_value());
       } while (consume(','));
@@ -194,7 +203,59 @@ class Parser {
     return JsonValue(value);
   }
 
+  /// The number parse_number would read at the cursor, or false (cursor
+  /// unspecified) where it would fail or see another value.
+  bool try_number(double& value) {
+    skip_whitespace();
+    const char* begin = text_.data() + pos_;
+    const auto [end, ec] =
+        std::from_chars(begin, text_.data() + text_.size(), value);
+    if (ec != std::errc{} || end == begin || !std::isfinite(value)) return false;
+    pos_ = static_cast<std::size_t>(end - text_.data());
+    return true;
+  }
+
+  /// True when the cursor, past whitespace, is at `c` (consumed).
+  bool try_char(char c) {
+    skip_whitespace();
+    if (pos_ >= text_.size() || text_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+
+  /// Reads an array of 2- or 3-number arrays into capture_->tuples. On
+  /// anything else it rewinds the cursor, drops what it read and returns
+  /// false, and the caller parses the value generically — which then
+  /// yields the same value or raises the same error.
+  bool capture_tuples() {
+    const std::size_t start = pos_;
+    std::vector<double>& out = capture_->tuples;
+    const auto fail = [&] {
+      pos_ = start;
+      out.clear();
+      return false;
+    };
+    if (!try_char('[')) return fail();
+    if (!try_char(']')) {
+      do {
+        if (!try_char('[')) return fail();
+        double v[3] = {0.0, 0.0, capture_->fill};
+        int k = 0;
+        do {
+          if (k == 3 || !try_number(v[k])) return fail();
+          ++k;
+        } while (try_char(','));
+        if (k < 2 || !try_char(']')) return fail();
+        out.insert(out.end(), v, v + 3);
+      } while (try_char(','));
+      if (!try_char(']')) return fail();
+    }
+    capture_->captured = true;
+    return true;
+  }
+
   std::string_view text_;
+  TupleCapture* capture_ = nullptr;
   std::size_t pos_ = 0;
   int depth_ = 0;
 };
@@ -314,6 +375,12 @@ void JsonValue::push_back(JsonValue value) {
 
 JsonValue json_parse(std::string_view text) {
   return Parser(text).parse_document();
+}
+
+JsonValue json_parse(std::string_view text, TupleCapture& capture) {
+  capture.captured = false;
+  capture.tuples.clear();
+  return Parser(text, &capture).parse_document();
 }
 
 std::string json_serialize(const JsonValue& value) {

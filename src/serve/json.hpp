@@ -108,6 +108,27 @@ class JsonValue {
 /// malformed input.
 [[nodiscard]] JsonValue json_parse(std::string_view text);
 
+/// Numeric tuples ([a, b] or [a, b, c]) of one top-level array member,
+/// read flat: json_parse(text, capture) parses that member's elements
+/// straight into `tuples`, with no JsonValue per element, and leaves an
+/// empty array in its place in the tree. Same grammar, same numbers:
+/// when any element is not such a tuple (or the text there is
+/// malformed), the member is parsed as an ordinary value instead, so
+/// values and errors are exactly json_parse(text)'s.
+struct TupleCapture {
+  /// Top-level member to capture (its first occurrence).
+  std::string_view member;
+  /// Value of an absent third entry.
+  double fill = 0.0;
+  /// Set when the member was captured; `tuples` then holds its
+  /// elements, three values each, in order.
+  bool captured = false;
+  std::vector<double> tuples;
+};
+
+/// json_parse that captures `capture.member` (see TupleCapture).
+[[nodiscard]] JsonValue json_parse(std::string_view text, TupleCapture& capture);
+
 /// Serializes compactly (no whitespace). Numbers use std::to_chars
 /// shortest round-trip (integral values without an exponent/point), so
 /// parse(serialize(v)) reproduces every double bit-for-bit.

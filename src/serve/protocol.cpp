@@ -32,26 +32,34 @@ const JsonValue& require(const JsonValue& root, std::string_view key) {
 constexpr std::int64_t kMaxSyntheticNodes = std::int64_t{1} << 22;
 constexpr std::int64_t kMaxSyntheticEntries = std::int64_t{1} << 25;
 
-/// JSON number → integer, rejecting non-integral values and magnitudes
-/// a double no longer holds exactly.
-std::int64_t as_integer(const JsonValue& v, std::string_view what) {
-  if (!v.is_number()) bad_request("field '" + std::string(what) + "' must be a number");
-  const double d = v.as_number();
+/// Number → integer, rejecting non-integral values and magnitudes a
+/// double no longer holds exactly.
+std::int64_t integer_of(double d, std::string_view what) {
   if (d != std::floor(d) || std::fabs(d) > 9.0e15) {
     bad_request("field '" + std::string(what) + "' must be an integer");
   }
   return static_cast<std::int64_t>(d);
 }
 
-/// JSON number → Index, rejecting values outside the Index range.
-Index as_index(const JsonValue& v, std::string_view what) {
-  const std::int64_t i = as_integer(v, what);
+/// Number → Index, rejecting values outside the Index range.
+Index index_of(double d, std::string_view what) {
+  const std::int64_t i = integer_of(d, what);
   if (i < std::numeric_limits<Index>::min() ||
       i > std::numeric_limits<Index>::max()) {
     bad_request("field '" + std::string(what) + "' is out of range (" +
                 std::to_string(i) + ")");
   }
   return static_cast<Index>(i);
+}
+
+std::int64_t as_integer(const JsonValue& v, std::string_view what) {
+  if (!v.is_number()) bad_request("field '" + std::string(what) + "' must be a number");
+  return integer_of(v.as_number(), what);
+}
+
+Index as_index(const JsonValue& v, std::string_view what) {
+  if (!v.is_number()) bad_request("field '" + std::string(what) + "' must be a number");
+  return index_of(v.as_number(), what);
 }
 
 Index optional_index(const JsonValue& root, std::string_view key,
@@ -165,13 +173,37 @@ JsonValue learn_summary_to_json(const LearnSummary& summary) {
 
 // --- op handlers (each returns the success payload) ---------------------
 
-JsonValue op_load_graph(ServeEngine& engine, const JsonValue& root) {
+/// Adds edge (s, t, w) to `g` after the per-edge checks, in the order
+/// the protocol has always reported them.
+void add_checked_edge(graph::Graph& g, Index s, Index t, Real w) {
+  const Index num_nodes = g.num_nodes();
+  if (s < 0 || s >= num_nodes || t < 0 || t >= num_nodes || s == t) {
+    bad_request("edge (" + std::to_string(s) + ", " + std::to_string(t) +
+                ") is out of range for " + std::to_string(num_nodes) +
+                " nodes");
+  }
+  if (!(w > 0.0)) bad_request("edge weights must be positive");
+  g.add_edge(s, t, w);
+}
+
+/// `edges_capture` holds the edge tuples when the parser read them flat
+/// (the usual case); otherwise they are in the tree.
+JsonValue op_load_graph(ServeEngine& engine, const JsonValue& root,
+                        const TupleCapture& edges_capture) {
   const Index num_nodes = as_index(require(root, "num_nodes"), "num_nodes");
   if (num_nodes <= 0) bad_request("'num_nodes' must be positive");
   const JsonValue& edges = require(root, "edges");
   if (!edges.is_array()) bad_request("field 'edges' must be an array");
 
   graph::Graph g(num_nodes);
+  if (edges_capture.captured) {
+    const std::vector<double>& v = edges_capture.tuples;
+    for (std::size_t k = 0; k < v.size(); k += 3) {
+      const Index s = index_of(v[k], "edge endpoint");
+      const Index t = index_of(v[k + 1], "edge endpoint");
+      add_checked_edge(g, s, t, v[k + 2]);
+    }
+  }
   for (const JsonValue& e : edges.as_array()) {
     if (!e.is_array() || e.as_array().size() < 2 || e.as_array().size() > 3) {
       bad_request("each edge must be [s, t] or [s, t, weight]");
@@ -180,13 +212,7 @@ JsonValue op_load_graph(ServeEngine& engine, const JsonValue& root) {
     const Index s = as_index(triple[0], "edge endpoint");
     const Index t = as_index(triple[1], "edge endpoint");
     const Real w = triple.size() == 3 ? triple[2].as_number() : 1.0;
-    if (s < 0 || s >= num_nodes || t < 0 || t >= num_nodes || s == t) {
-      bad_request("edge (" + std::to_string(s) + ", " + std::to_string(t) +
-                  ") is out of range for " + std::to_string(num_nodes) +
-                  " nodes");
-    }
-    if (!(w > 0.0)) bad_request("edge weights must be positive");
-    g.add_edge(s, t, w);
+    add_checked_edge(g, s, t, w);
   }
 
   const graph::GraphKey key = engine.load_graph(std::move(g));
@@ -353,6 +379,7 @@ JsonValue op_stats(ServeEngine& engine) {
   payload.set("cache_hits", s.cache_hits);
   payload.set("cache_misses", s.cache_misses);
   payload.set("cache_evictions", s.cache_evictions);
+  payload.set("symbolic_reuses", s.symbolic_reuses);
   payload.set("graph_loads", s.graph_loads);
   payload.set("learns", s.learns);
   payload.set("embeddings", s.embeddings);
@@ -402,8 +429,12 @@ ProtocolResult handle_request(ServeEngine& engine, std::string_view line) {
   std::string op;
   JsonValue request_id;  // kNull until the request names one
   bool shutdown = false;
+  // load_graph's edge list is read flat, not as one JsonValue per edge.
+  TupleCapture edges_capture;
+  edges_capture.member = "edges";
+  edges_capture.fill = 1.0;
   try {
-    const JsonValue root = json_parse(line);
+    const JsonValue root = json_parse(line, edges_capture);
     if (!root.is_object()) bad_request("request must be a JSON object");
     if (const JsonValue* id = root.find("id"); id != nullptr) {
       request_id = *id;
@@ -417,7 +448,7 @@ ProtocolResult handle_request(ServeEngine& engine, std::string_view line) {
 
     JsonValue payload;
     if (op == "load_graph") {
-      payload = op_load_graph(engine, root);
+      payload = op_load_graph(engine, root, edges_capture);
     } else if (op == "learn") {
       payload = op_learn(engine, root);
     } else if (op == "learn_synthetic") {

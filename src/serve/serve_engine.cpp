@@ -91,6 +91,9 @@ ServeEngine::acquire_solver(const std::optional<graph::GraphKey>& key_opt) {
   graph::GraphKey key;
   const graph::Graph* g = nullptr;
   std::shared_ptr<Fill> fill;
+  PatternKey pattern;
+  std::shared_ptr<const solver::CholeskySymbolic> symbolic;
+  bool analyser = false;
   {
     const common::MutexLock lock(state_mutex_);
     if (key_opt.has_value()) {
@@ -144,26 +147,62 @@ ServeEngine::acquire_solver(const std::optional<graph::GraphKey>& key_opt) {
     // std::map nodes are pointer-stable and graphs are never erased or
     // reassigned, so the factorization below can read g unlocked.
     g = &graphs_.at(key);
+
+    // A Cholesky fill looks for the live analysis of its pattern. If a
+    // fill of another graph of the pattern is analysing it right now,
+    // wait for that one rather than analyse the pattern twice; if there
+    // is none, this fill analyses it and publishes the result.
+    pattern = PatternKey{key.num_nodes, key.num_edges, key.endpoints};
+    const bool cholesky =
+        solver::resolve_laplacian_method(options_.solver.method,
+                                         key.num_nodes, key.num_edges) ==
+        solver::LaplacianMethod::kCholesky;
+    for (bool looking = cholesky; looking;) {
+      const auto it = symbolics_.find(pattern);
+      if (it == symbolics_.end()) {
+        symbolics_[pattern].analysing = true;
+        analyser = true;
+      } else if (it->second.analysing) {
+        fill_cv_.wait(state_mutex_);
+        continue;
+      } else {
+        symbolic = it->second.symbolic.lock();
+        if (symbolic == nullptr) {
+          it->second.analysing = true;
+          analyser = true;
+        }
+      }
+      looking = false;
+    }
   }
 
   // Miss: factorize outside the lock, then insert at MRU, evicting from
   // the LRU end. The evicted shared_ptr may stay alive while an
   // in-flight batch still holds it — eviction only drops the cache's
-  // reference, never a solver under a live solve.
+  // reference, never a solver under a live solve. The solver checks the
+  // analysis against its own grounded pattern before it shares it.
   std::shared_ptr<const solver::LaplacianPinvSolver> solver_ptr;
   std::exception_ptr error;
   try {
-    solver_ptr =
-        std::make_shared<const solver::LaplacianPinvSolver>(*g, options_.solver);
+    solver_ptr = std::make_shared<const solver::LaplacianPinvSolver>(
+        *g, options_.solver, symbolic);
   } catch (...) {
     error = std::current_exception();
   }
+  const bool reused =
+      symbolic != nullptr && solver_ptr != nullptr &&
+      solver_ptr->cholesky_symbolic() == symbolic;
   {
     const common::MutexLock lock(state_mutex_);
     fills_.erase(key);
     fill->solver = solver_ptr;
     fill->error = error;
     fill->done = true;
+    if (analyser) {
+      SharedSymbolic& slot = symbolics_.at(pattern);
+      slot.analysing = false;
+      if (solver_ptr != nullptr) slot.symbolic = solver_ptr->cholesky_symbolic();
+    }
     if (error == nullptr) {
       while (static_cast<Index>(lru_.size()) >= options_.cache_capacity) {
         lru_.pop_back();
@@ -171,6 +210,15 @@ ServeEngine::acquire_solver(const std::optional<graph::GraphKey>& key_opt) {
         ++stats_.cache_evictions;
       }
       lru_.emplace_front(key, solver_ptr);
+    }
+    // Drop the analyses no solver uses any more (an evicted solver still
+    // in a batch keeps its entry until a later fill).
+    std::erase_if(symbolics_, [](const auto& entry) {
+      return !entry.second.analysing && entry.second.symbolic.expired();
+    });
+    if (reused) {
+      const common::MutexLock stats_lock(stats_mutex_);
+      ++stats_.symbolic_reuses;
     }
   }
   fill_cv_.notify_all();

@@ -5,6 +5,9 @@
 // LaplacianPinvSolver factorizations keyed by graph fingerprint
 // (graph::GraphKey), and a cached spectral embedding — so a `solve`
 // after a `learn` costs two triangular sweeps, not a factorization.
+// Beside the LRU it keeps the symbolic analysis of each cached pattern,
+// so a miss on a weight variant of a cached graph runs only the numeric
+// phase of its factorization.
 //
 // Batching. `solve` queries that arrive concurrently are coalesced by a
 // leader/follower combiner: the first thread to enqueue becomes the
@@ -28,10 +31,12 @@
 #pragma once
 
 #include <condition_variable>
+#include <cstdint>
 #include <list>
 #include <map>
 #include <memory>
 #include <optional>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -91,6 +96,10 @@ struct ServeStats {
   Index cache_hits = 0;
   Index cache_misses = 0;
   Index cache_evictions = 0;
+  /// Cache misses that ran the numeric phase only, on the live symbolic
+  /// analysis of a same-pattern graph (cache_misses − symbolic_reuses
+  /// misses analysed a pattern).
+  Index symbolic_reuses = 0;
   Index graph_loads = 0;
   Index learns = 0;
   Index embeddings = 0;  ///< embedding() calls served from scratch.
@@ -194,6 +203,19 @@ class ServeEngine {
     bool done = false;
   };
 
+  /// Graphs of one sparsity pattern: node count, edge count and the
+  /// endpoint digest of graph::GraphKey.
+  using PatternKey = std::tuple<Index, Index, std::uint64_t>;
+
+  /// The symbolic analysis of one pattern, shared by the cached solvers
+  /// of its graphs. Held weakly: it lives exactly as long as some solver
+  /// uses it. `analysing` marks a fill that is building it, so other
+  /// fills of the pattern wait for it instead of analysing it again.
+  struct SharedSymbolic {
+    std::weak_ptr<const solver::CholeskySymbolic> symbolic;
+    bool analysing = false;
+  };
+
   /// Key plus the shared factorization. shared_ptr, so a batch holding
   /// a solver keeps it alive across an eviction happening mid-flight.
   using CacheEntry =
@@ -209,7 +231,8 @@ class ServeEngine {
   /// nullopt). A miss builds it with no lock held — queries on other
   /// graphs never wait behind it — then LRU-inserts/evicts under
   /// state_mutex_; a caller that finds the key in flight waits for that
-  /// build and counts as a hit.
+  /// build and counts as a hit. A Cholesky miss whose pattern has a live
+  /// analysis runs the numeric phase only on it.
   [[nodiscard]] std::shared_ptr<const solver::LaplacianPinvSolver>
   acquire_solver(const std::optional<graph::GraphKey>& key)
       SGL_EXCLUDES(state_mutex_);
@@ -241,7 +264,11 @@ class ServeEngine {
   /// Factorizations being built, by key (at most one per key).
   std::map<graph::GraphKey, std::shared_ptr<Fill>> fills_
       SGL_GUARDED_BY(state_mutex_);
-  /// Signalled (under no lock) whenever a fill completes.
+  /// Symbolic analyses by pattern, beside the LRU. Entries whose analysis
+  /// has expired are dropped whenever a fill completes.
+  std::map<PatternKey, SharedSymbolic> symbolics_ SGL_GUARDED_BY(state_mutex_);
+  /// Signalled (under no lock) whenever a fill completes or a pattern's
+  /// analysis is published.
   std::condition_variable_any fill_cv_;
   /// Embedding cache for the (single) most recently embedded graph.
   std::optional<std::pair<graph::GraphKey, spectral::Embedding>>

@@ -20,55 +20,124 @@ namespace {
 /// the values are identical either way.
 constexpr std::int64_t kParallelWork = 32768;
 
+/// The heuristic's permutation of `a`, checked square first (the
+/// orderings read the pattern as a graph and do not check).
+std::vector<Index> square_ordering(const la::CsrMatrix& a,
+                                   OrderingMethod ordering) {
+  SGL_EXPECTS(a.rows() == a.cols(), "CholeskySolver: matrix must be square");
+  return compute_ordering(a, ordering);
+}
+
 }  // namespace
+
+CholeskySymbolic::CholeskySymbolic(const la::CsrMatrix& a,
+                                   OrderingMethod ordering)
+    : CholeskySymbolic(a, square_ordering(a, ordering), ordering) {}
+
+CholeskySymbolic::CholeskySymbolic(const la::CsrMatrix& a,
+                                   std::vector<Index> perm)
+    : CholeskySymbolic(a, std::move(perm), std::nullopt) {}
+
+CholeskySymbolic::CholeskySymbolic(const la::CsrMatrix& a,
+                                   std::vector<Index> perm,
+                                   std::optional<OrderingMethod> ordering)
+    : n_(a.rows()), ordering_(ordering), perm_(std::move(perm)) {
+  SGL_EXPECTS(a.rows() == a.cols(), "CholeskySolver: matrix must be square");
+  SGL_EXPECTS(to_index(perm_.size()) == a.rows(),
+              "CholeskySolver: permutation size mismatch");
+  inv_perm_ = invert_permutation(perm_);
+  stats_.n = n_;
+  stats_.input_nnz = a.nnz();
+  in_row_ptr_ = a.row_ptr();
+  in_col_idx_ = a.col_idx();
+  permute_pattern(a);
+  analyze();
+}
+
+bool CholeskySymbolic::matches(const la::CsrMatrix& a) const {
+  return a.rows() == n_ && a.cols() == n_ && a.row_ptr() == in_row_ptr_ &&
+         a.col_idx() == in_col_idx_;
+}
+
+void CholeskySymbolic::permute_pattern(const la::CsrMatrix& a) {
+  // Two counting passes give the rows of P a Pᵀ in ascending column order
+  // with no sort: bucket every entry by its new column, walking the new
+  // rows in ascending order, then walk the new columns in ascending order
+  // and append each entry to its new row. Entry (i', j') of P a Pᵀ is
+  // a(perm[i'], perm[j']); pa_src_ records where that value sits in a.
+  const auto& rp = a.row_ptr();
+  const auto& ci = a.col_idx();
+  const std::size_t un = static_cast<std::size_t>(n_);
+  const std::size_t nnz = ci.size();
+  std::vector<Index> col_ptr(un + 1, 0);
+  for (const Index c : ci)
+    ++col_ptr[static_cast<std::size_t>(inv_perm_[static_cast<std::size_t>(c)]) + 1];
+  for (std::size_t j = 0; j < un; ++j) col_ptr[j + 1] += col_ptr[j];
+  std::vector<Index> col_row(nnz);
+  std::vector<Index> col_src(nnz);
+  std::vector<Index> col_next(col_ptr.begin(), col_ptr.end() - 1);
+  pa_row_ptr_.assign(un + 1, 0);
+  for (Index i = 0; i < n_; ++i) {
+    const Index old = perm_[static_cast<std::size_t>(i)];
+    const Index lo = rp[static_cast<std::size_t>(old)];
+    const Index hi = rp[static_cast<std::size_t>(old) + 1];
+    pa_row_ptr_[static_cast<std::size_t>(i) + 1] =
+        pa_row_ptr_[static_cast<std::size_t>(i)] + (hi - lo);
+    for (Index k = lo; k < hi; ++k) {
+      const Index j = inv_perm_[static_cast<std::size_t>(ci[static_cast<std::size_t>(k)])];
+      const Index q = col_next[static_cast<std::size_t>(j)]++;
+      col_row[static_cast<std::size_t>(q)] = i;
+      col_src[static_cast<std::size_t>(q)] = k;
+    }
+  }
+  pa_col_idx_.resize(nnz);
+  pa_src_.resize(nnz);
+  std::vector<Index> row_next(pa_row_ptr_.begin(), pa_row_ptr_.end() - 1);
+  for (Index j = 0; j < n_; ++j) {
+    for (Index q = col_ptr[static_cast<std::size_t>(j)];
+         q < col_ptr[static_cast<std::size_t>(j) + 1]; ++q) {
+      const Index p =
+          row_next[static_cast<std::size_t>(col_row[static_cast<std::size_t>(q)])]++;
+      pa_col_idx_[static_cast<std::size_t>(p)] = j;
+      pa_src_[static_cast<std::size_t>(p)] = col_src[static_cast<std::size_t>(q)];
+    }
+  }
+}
 
 CholeskySolver::CholeskySolver(const la::CsrMatrix& a, OrderingMethod ordering,
                                Index num_threads, FactorKernel kernel)
     : kernel_(kernel) {
-  SGL_EXPECTS(a.rows() == a.cols(), "CholeskySolver: matrix must be square");
   const WallTimer timer;
-  n_ = a.rows();
-  stats_.n = n_;
-  stats_.input_nnz = a.nnz();
-
-  perm_ = compute_ordering(a, ordering);
-  build_inverse_permutation();
-  const la::CsrMatrix pa = permute_symmetric(a, perm_);
-
-  analyze(pa);
-  factorize(pa, num_threads);
+  symbolic_ = std::make_shared<const CholeskySymbolic>(a, ordering);
+  factorize(a, num_threads);
   stats_.factor_seconds = timer.seconds();
 }
 
 CholeskySolver::CholeskySolver(const la::CsrMatrix& a, std::vector<Index> perm,
                                Index num_threads, FactorKernel kernel)
     : kernel_(kernel) {
-  SGL_EXPECTS(a.rows() == a.cols(), "CholeskySolver: matrix must be square");
-  SGL_EXPECTS(to_index(perm.size()) == a.rows(),
-              "CholeskySolver: permutation size mismatch");
   const WallTimer timer;
-  n_ = a.rows();
-  stats_.n = n_;
-  stats_.input_nnz = a.nnz();
-
-  perm_ = std::move(perm);
-  build_inverse_permutation();
-  const la::CsrMatrix pa = permute_symmetric(a, perm_);
-
-  analyze(pa);
-  factorize(pa, num_threads);
+  symbolic_ = std::make_shared<const CholeskySymbolic>(a, std::move(perm));
+  factorize(a, num_threads);
   stats_.factor_seconds = timer.seconds();
 }
 
-void CholeskySolver::build_inverse_permutation() {
-  inv_perm_.resize(perm_.size());
-  for (std::size_t i = 0; i < perm_.size(); ++i)
-    inv_perm_[static_cast<std::size_t>(perm_[i])] = to_index(i);
+CholeskySolver::CholeskySolver(const la::CsrMatrix& a,
+                               std::shared_ptr<const CholeskySymbolic> symbolic,
+                               Index num_threads, FactorKernel kernel)
+    : symbolic_(std::move(symbolic)), kernel_(kernel) {
+  SGL_EXPECTS(symbolic_ != nullptr, "CholeskySolver: null symbolic analysis");
+  SGL_EXPECTS(symbolic_->matches(a),
+              "CholeskySolver: input pattern differs from the analysed "
+              "pattern — a full analysis is required");
+  const WallTimer timer;
+  factorize(a, num_threads);
+  stats_.factor_seconds = timer.seconds();
 }
 
-void CholeskySolver::analyze(const la::CsrMatrix& pa) {
-  const auto& rp = pa.row_ptr();
-  const auto& ci = pa.col_idx();
+void CholeskySymbolic::analyze() {
+  const auto& rp = pa_row_ptr_;
+  const auto& ci = pa_col_idx_;
   const std::size_t un = static_cast<std::size_t>(n_);
 
   // --- Elimination tree and per-column factor counts. -------------------
@@ -101,7 +170,6 @@ void CholeskySolver::analyze(const la::CsrMatrix& pa) {
   const Index total_nnz = l_col_ptr_[un];
   stats_.factor_nnz = total_nnz;
   l_row_idx_.resize(static_cast<std::size_t>(total_nnz));
-  l_values_.assign(static_cast<std::size_t>(total_nnz), 0.0);
 
   // --- Full column pattern of L. ----------------------------------------
   // Re-run the row-subtree walk with the completed tree; appending row k
@@ -238,7 +306,7 @@ void CholeskySolver::analyze(const la::CsrMatrix& pa) {
   build_panels();
 }
 
-void CholeskySolver::build_panels() {
+void CholeskySymbolic::build_panels() {
   // --- Fundamental panels (DESIGN.md §9). -------------------------------
   // Within a chain block, columns j−1 and j merge when
   // |pattern(j−1)| == |pattern(j)| + 1: since parent(j−1) = j, etree
@@ -291,11 +359,11 @@ void CholeskySolver::build_panels() {
   // Column → owning panel (the external-update phase groups updaters by
   // panel: a descendant's columns all update the same ancestor rows, so
   // updaters always arrive as whole panels).
-  panel_of_.assign(static_cast<std::size_t>(n_), 0);
+  std::vector<Index> panel_of(static_cast<std::size_t>(n_), 0);
   for (Index p = 0; p + 1 < to_index(panel_ptr_.size()); ++p) {
     for (Index j = panel_ptr_[static_cast<std::size_t>(p)];
          j < panel_ptr_[static_cast<std::size_t>(p) + 1]; ++j)
-      panel_of_[static_cast<std::size_t>(j)] = p;
+      panel_of[static_cast<std::size_t>(j)] = p;
   }
 
   // --- Per-panel descendant updaters (symbolic, built once). ------------
@@ -321,7 +389,7 @@ void CholeskySolver::build_panels() {
            q < r_row_ptr_[static_cast<std::size_t>(j) + 1]; ++q) {
         const Index k = r_col_idx_[static_cast<std::size_t>(q)];
         if (k >= c0) break;  // ascending: the rest are in-panel updaters
-        const Index dp = panel_of_[static_cast<std::size_t>(k)];
+        const Index dp = panel_of[static_cast<std::size_t>(k)];
         if (mark[static_cast<std::size_t>(dp)] != p) {
           mark[static_cast<std::size_t>(dp)] = p;
           updaters.push_back(dp);
@@ -347,31 +415,37 @@ void CholeskySolver::build_panels() {
   }
 }
 
-void CholeskySolver::factor_column(const la::CsrMatrix& pa, Index j, Real* w) {
-  const auto& rp = pa.row_ptr();
-  const auto& ci = pa.col_idx();
-  const auto& vv = pa.values();
+void CholeskySolver::factor_column(const Real* pv, Index j, Real* w) {
+  const CholeskySymbolic& sy = *symbolic_;
+  const Index* const perm = sy.perm_.data();
+  const Index* const l_col_ptr = sy.l_col_ptr_.data();
+  const Index* const l_row_idx = sy.l_row_idx_.data();
+  const Index* const r_row_ptr = sy.r_row_ptr_.data();
+  const Index* const r_col_idx = sy.r_col_idx_.data();
+  const Index* const r_val_pos = sy.r_val_pos_.data();
+  const Index* const rp = sy.pa_row_ptr_.data();
+  const Index* const ci = sy.pa_col_idx_.data();
 
   // Scatter A's column j (rows ≥ j; by symmetry, row j at columns ≥ j).
   for (Index p = rp[static_cast<std::size_t>(j)];
        p < rp[static_cast<std::size_t>(j) + 1]; ++p) {
     const Index i = ci[static_cast<std::size_t>(p)];
-    if (i >= j) w[i] += vv[static_cast<std::size_t>(p)];
+    if (i >= j) w[i] += pv[static_cast<std::size_t>(p)];
   }
 
   // Left-looking updates from every column k with L(j,k) ≠ 0, in
   // ascending k — the fixed combine order that makes the factor
   // thread-count independent. Column k's rows > j all lie inside column
   // j's pattern, so the scatter stays within entries we reset below.
-  for (Index q = r_row_ptr_[static_cast<std::size_t>(j)];
-       q < r_row_ptr_[static_cast<std::size_t>(j) + 1]; ++q) {
-    const Index k = r_col_idx_[static_cast<std::size_t>(q)];
-    const Index p = r_val_pos_[static_cast<std::size_t>(q)];
+  for (Index q = r_row_ptr[static_cast<std::size_t>(j)];
+       q < r_row_ptr[static_cast<std::size_t>(j) + 1]; ++q) {
+    const Index k = r_col_idx[static_cast<std::size_t>(q)];
+    const Index p = r_val_pos[static_cast<std::size_t>(q)];
     const Real ljk = l_values_[static_cast<std::size_t>(p)];
     const Real c = d_[static_cast<std::size_t>(k)] * ljk;
     w[j] -= ljk * c;
-    for (Index p2 = p + 1; p2 < l_col_ptr_[static_cast<std::size_t>(k) + 1]; ++p2) {
-      w[l_row_idx_[static_cast<std::size_t>(p2)]] -=
+    for (Index p2 = p + 1; p2 < l_col_ptr[static_cast<std::size_t>(k) + 1]; ++p2) {
+      w[l_row_idx[static_cast<std::size_t>(p2)]] -=
           l_values_[static_cast<std::size_t>(p2)] * c;
     }
   }
@@ -381,22 +455,29 @@ void CholeskySolver::factor_column(const la::CsrMatrix& pa, Index j, Real* w) {
   if (!(dj > 0.0)) {
     throw NumericalError(
         "CholeskySolver: non-positive pivot at column " +
-            std::to_string(perm_[static_cast<std::size_t>(j)]) +
+            std::to_string(perm[static_cast<std::size_t>(j)]) +
             " — matrix is not positive definite",
         ErrorCode::kNonPositivePivot);
   }
   d_[static_cast<std::size_t>(j)] = dj;
-  for (Index p = l_col_ptr_[static_cast<std::size_t>(j)];
-       p < l_col_ptr_[static_cast<std::size_t>(j) + 1]; ++p) {
-    const Index i = l_row_idx_[static_cast<std::size_t>(p)];
+  for (Index p = l_col_ptr[static_cast<std::size_t>(j)];
+       p < l_col_ptr[static_cast<std::size_t>(j) + 1]; ++p) {
+    const Index i = l_row_idx[static_cast<std::size_t>(p)];
     l_values_[static_cast<std::size_t>(p)] = w[i] / dj;
     w[i] = 0.0;
   }
 }
 
-void CholeskySolver::run_numeric_phase(const la::CsrMatrix& pa,
-                                       Index num_threads) {
-  const std::size_t un = static_cast<std::size_t>(n_);
+void CholeskySolver::run_numeric_phase(const Real* pv, Index num_threads) {
+  const CholeskySymbolic& sy = *symbolic_;
+  const Index* const super_ptr = sy.super_ptr_.data();
+  const Index* const level_ptr = sy.level_ptr_.data();
+  const Index* const level_supers = sy.level_supers_.data();
+  const Index* const panel_ptr = sy.panel_ptr_.data();
+  const Index* const super_panel_ptr = sy.super_panel_ptr_.data();
+  const std::int64_t* const factor_work = sy.factor_work_.data();
+  const Index n = sy.n_;
+  const std::size_t un = static_cast<std::size_t>(n);
   d_.assign(un, 0.0);
 
   const Index threads =
@@ -408,49 +489,49 @@ void CholeskySolver::run_numeric_phase(const la::CsrMatrix& pa,
   for (auto& ws : scratch) {
     ws.column.assign(un, 0.0);
     if (panels) {
-      ws.panel.assign(max_panel_entries_, 0.0);
+      ws.panel.assign(sy.max_panel_entries_, 0.0);
       // Two coefficient slabs: the paired-column external kernel keeps
       // d·tail coefficients for both target columns of a pair.
       ws.cvec.assign(static_cast<std::size_t>(stats_.panel_max_width) * 2, 0.0);
       ws.map.assign(un, 0);
-      ws.lrow.assign(static_cast<std::size_t>(max_panel_rows_), 0);
+      ws.lrow.assign(static_cast<std::size_t>(sy.max_panel_rows_), 0);
       ws.tails.assign(static_cast<std::size_t>(stats_.panel_max_width),
                       nullptr);
     }
   }
 
-  const Index num_levels = to_index(level_ptr_.size()) - 1;
+  const Index num_levels = sy.stats_.num_levels;
   for (Index l = 0; l < num_levels; ++l) {
-    const Index lo = level_ptr_[static_cast<std::size_t>(l)];
-    const Index hi = level_ptr_[static_cast<std::size_t>(l) + 1];
+    const Index lo = level_ptr[static_cast<std::size_t>(l)];
+    const Index hi = level_ptr[static_cast<std::size_t>(l) + 1];
     const auto run_supers = [&](Index slo, Index shi, Index slot) {
       PanelWorkspace& ws = scratch[static_cast<std::size_t>(slot)];
       for (Index si = slo; si < shi; ++si) {
-        const Index s = level_supers_[static_cast<std::size_t>(si)];
+        const Index s = level_supers[static_cast<std::size_t>(si)];
         if (!panels) {
-          for (Index j = super_ptr_[static_cast<std::size_t>(s)];
-               j < super_ptr_[static_cast<std::size_t>(s) + 1]; ++j) {
-            factor_column(pa, j, ws.column.data());
+          for (Index j = super_ptr[static_cast<std::size_t>(s)];
+               j < super_ptr[static_cast<std::size_t>(s) + 1]; ++j) {
+            factor_column(pv, j, ws.column.data());
           }
           continue;
         }
         // Panels of the block in ascending column order; width-1 panels
         // run the scalar column kernel (a 1-wide "dense" panel is just a
         // CSC column — the batched gather would only add copies).
-        for (Index p = super_panel_ptr_[static_cast<std::size_t>(s)];
-             p < super_panel_ptr_[static_cast<std::size_t>(s) + 1]; ++p) {
-          if (panel_ptr_[static_cast<std::size_t>(p) + 1] -
-                  panel_ptr_[static_cast<std::size_t>(p)] == 1) {
-            factor_column(pa, panel_ptr_[static_cast<std::size_t>(p)],
+        for (Index p = super_panel_ptr[static_cast<std::size_t>(s)];
+             p < super_panel_ptr[static_cast<std::size_t>(s) + 1]; ++p) {
+          if (panel_ptr[static_cast<std::size_t>(p) + 1] -
+                  panel_ptr[static_cast<std::size_t>(p)] == 1) {
+            factor_column(pv, panel_ptr[static_cast<std::size_t>(p)],
                           ws.column.data());
           } else {
-            factor_panel(pa, p, ws);
+            factor_panel(pv, p, ws);
           }
         }
       }
     };
     if (threads == 1 || hi - lo == 1 ||
-        factor_work_[static_cast<std::size_t>(l)] < kParallelWork) {
+        factor_work[static_cast<std::size_t>(l)] < kParallelWork) {
       run_supers(lo, hi, 0);
     } else {
       parallel::parallel_for_slots(lo, hi, threads, run_supers);
@@ -458,17 +539,24 @@ void CholeskySolver::run_numeric_phase(const la::CsrMatrix& pa,
   }
 }
 
-void CholeskySolver::factor_panel(const la::CsrMatrix& pa, Index p,
+void CholeskySolver::factor_panel(const Real* pv, Index p,
                                   PanelWorkspace& ws) {
-  const Index c0 = panel_ptr_[static_cast<std::size_t>(p)];
-  const Index c1 = panel_ptr_[static_cast<std::size_t>(p) + 1];
+  const CholeskySymbolic& sy = *symbolic_;
+  const Index* const perm = sy.perm_.data();
+  const Index* const l_col_ptr = sy.l_col_ptr_.data();
+  const Index* const l_row_idx = sy.l_row_idx_.data();
+  const Index* const panel_ptr = sy.panel_ptr_.data();
+  const Index* const panel_upd_ptr = sy.panel_upd_ptr_.data();
+  const CholeskySymbolic::PanelUpdater* const panel_upd = sy.panel_upd_.data();
+  const Index c0 = panel_ptr[static_cast<std::size_t>(p)];
+  const Index c1 = panel_ptr[static_cast<std::size_t>(p) + 1];
   const Index nc = c1 - c0;
   // Panel rows: the nc triangle rows c0..c1−1, then the shared below-
   // diagonal row set = pattern of the LAST column (ascending, already
   // materialized as that column's CSC row list).
-  const Index below_begin = l_col_ptr_[static_cast<std::size_t>(c1 - 1)];
-  const Index nb = l_col_ptr_[static_cast<std::size_t>(c1)] - below_begin;
-  const Index* below = l_row_idx_.data() + below_begin;
+  const Index below_begin = l_col_ptr[static_cast<std::size_t>(c1 - 1)];
+  const Index nb = l_col_ptr[static_cast<std::size_t>(c1)] - below_begin;
+  const Index* below = l_row_idx + below_begin;
   const Index total_rows = nc + nb;
   // COLUMN-major panel (stride = total_rows): every update, the in-panel
   // factorization, and the CSC scatter walk one column at a time, so the
@@ -486,9 +574,8 @@ void CholeskySolver::factor_panel(const la::CsrMatrix& pa, Index p,
   const auto local_row = [&](Index i) {
     return i < c1 ? i - c0 : ws.map[static_cast<std::size_t>(i)];
   };
-  const auto& rp = pa.row_ptr();
-  const auto& ci = pa.col_idx();
-  const auto& vv = pa.values();
+  const Index* const rp = sy.pa_row_ptr_.data();
+  const Index* const ci = sy.pa_col_idx_.data();
   for (Index j = c0; j < c1; ++j) {
     for (Index q = rp[static_cast<std::size_t>(j)];
          q < rp[static_cast<std::size_t>(j) + 1]; ++q) {
@@ -496,14 +583,14 @@ void CholeskySolver::factor_panel(const la::CsrMatrix& pa, Index p,
       if (i < j) continue;
       panel[static_cast<std::size_t>(j - c0) * str +
             static_cast<std::size_t>(local_row(i))] +=
-          vv[static_cast<std::size_t>(q)];
+          pv[static_cast<std::size_t>(q)];
     }
   }
 
   // --- External updates, one descendant panel at a time. ----------------
   // The updater panels (ascending — the scalar path's ascending-updater
   // order) and their tail splits come precomputed from the symbolic
-  // phase (panel_upd_). For one descendant panel D (columns [k0, k0+w)):
+  // phase (panel_upd). For one descendant panel D (columns [k0, k0+w)):
   // the entries of every column of D with row ≥ c0 are the LAST m entries
   // of that column (row lists ascending, shared tail), with shared row
   // list R. Its update touches exactly rows R × columns
@@ -516,21 +603,21 @@ void CholeskySolver::factor_panel(const la::CsrMatrix& pa, Index p,
   Index* SGL_RESTRICT lrow = ws.lrow.data();
   const Real** tails = ws.tails.data();
   Real* SGL_RESTRICT cvec = ws.cvec.data();
-  for (Index di = panel_upd_ptr_[static_cast<std::size_t>(p)];
-       di < panel_upd_ptr_[static_cast<std::size_t>(p) + 1]; ++di) {
-    const PanelUpdater& rec = panel_upd_[static_cast<std::size_t>(di)];
+  for (Index di = panel_upd_ptr[static_cast<std::size_t>(p)];
+       di < panel_upd_ptr[static_cast<std::size_t>(p) + 1]; ++di) {
+    const auto& rec = panel_upd[static_cast<std::size_t>(di)];
     const Index k0 = rec.k0;
     const Index w = rec.w;
     const Index m = rec.m;
     const Index mt = rec.mt;
     const Index* SGL_RESTRICT rows =
-        l_row_idx_.data() + l_col_ptr_[static_cast<std::size_t>(k0 + w)] - m;
+        l_row_idx + l_col_ptr[static_cast<std::size_t>(k0 + w)] - m;
     // Local panel-row slots of the shared tail, resolved once per
     // descendant; the kernels index inside one panel column with them.
     for (Index q = 0; q < m; ++q) lrow[q] = local_row(rows[q]);
     for (Index kk = 0; kk < w; ++kk) {
       tails[kk] = l_values_.data() +
-                  l_col_ptr_[static_cast<std::size_t>(k0 + kk) + 1] - m;
+                  l_col_ptr[static_cast<std::size_t>(k0 + kk) + 1] - m;
     }
 
     if (w == 1) {
@@ -688,14 +775,14 @@ void CholeskySolver::factor_panel(const la::CsrMatrix& pa, Index p,
       // the scalar path's partial state exactly.
       for (Index jj = 0; jj < kk; ++jj) {
         const Index j = c0 + jj;
-        Real* dst = l_values_.data() + l_col_ptr_[static_cast<std::size_t>(j)];
+        Real* dst = l_values_.data() + l_col_ptr[static_cast<std::size_t>(j)];
         const Real* src = panel + static_cast<std::size_t>(jj) * str;
         for (Index r = jj + 1; r < total_rows; ++r)
           *dst++ = src[static_cast<std::size_t>(r)];
       }
       throw NumericalError(
           "CholeskySolver: non-positive pivot at column " +
-              std::to_string(perm_[static_cast<std::size_t>(c0 + kk)]) +
+              std::to_string(perm[static_cast<std::size_t>(c0 + kk)]) +
               " — matrix is not positive definite",
           ErrorCode::kNonPositivePivot);
     }
@@ -721,112 +808,79 @@ void CholeskySolver::factor_panel(const la::CsrMatrix& pa, Index p,
   // the CSC row order, so each column is one contiguous copy).
   for (Index jj = 0; jj < nc; ++jj) {
     const Index j = c0 + jj;
-    Real* dst = l_values_.data() + l_col_ptr_[static_cast<std::size_t>(j)];
+    Real* dst = l_values_.data() + l_col_ptr[static_cast<std::size_t>(j)];
     const Real* src = panel + static_cast<std::size_t>(jj) * str;
     for (Index r = jj + 1; r < total_rows; ++r)
       *dst++ = src[static_cast<std::size_t>(r)];
   }
 }
 
-void CholeskySolver::factorize(const la::CsrMatrix& pa, Index num_threads) {
-  run_numeric_phase(pa, num_threads);
+void CholeskySolver::factorize(const la::CsrMatrix& a, Index num_threads) {
+  const CholeskySymbolic& sy = *symbolic_;
+  stats_ = sy.stats_;
+  l_values_.assign(static_cast<std::size_t>(sy.stats_.factor_nnz), 0.0);
+  // The input in P a Pᵀ order: one gather through the analysed map.
+  std::vector<Real> pv(sy.pa_src_.size());
+  const std::vector<Real>& av = a.values();
+  for (std::size_t k = 0; k < pv.size(); ++k)
+    pv[k] = av[static_cast<std::size_t>(sy.pa_src_[k])];
+  run_numeric_phase(pv.data(), num_threads);
 
   // Contiguous row-major value mirror so the forward sweeps stream
-  // instead of chasing r_val_pos_ indirections. The position map is only
-  // needed during the numeric phase, so its memory (one Index per factor
-  // nonzero) is released rather than carried for the solver's lifetime
-  // (refactorize rebuilds it on demand).
+  // instead of chasing r_val_pos_ indirections.
   r_values_.resize(l_values_.size());
   for (std::size_t q = 0; q < r_values_.size(); ++q)
-    r_values_[q] = l_values_[static_cast<std::size_t>(r_val_pos_[q])];
-  std::vector<Index>().swap(r_val_pos_);
-}
-
-void CholeskySolver::rebuild_row_positions() {
-  // Same fill loop as analyze(): ascending columns give each row its
-  // entries in ascending column order, matching r_col_idx_ exactly.
-  r_val_pos_.resize(l_row_idx_.size());
-  std::vector<Index> row_next(r_row_ptr_.begin(), r_row_ptr_.end() - 1);
-  for (Index j = 0; j < n_; ++j) {
-    for (Index p = l_col_ptr_[static_cast<std::size_t>(j)];
-         p < l_col_ptr_[static_cast<std::size_t>(j) + 1]; ++p) {
-      const Index i = l_row_idx_[static_cast<std::size_t>(p)];
-      r_val_pos_[static_cast<std::size_t>(
-          row_next[static_cast<std::size_t>(i)]++)] = p;
-    }
-  }
-}
-
-void CholeskySolver::refactorize(const la::CsrMatrix& a, Index num_threads) {
-  SGL_EXPECTS(a.rows() == n_ && a.cols() == n_,
-              "CholeskySolver::refactorize: size mismatch");
-  const WallTimer timer;
-  const la::CsrMatrix pa = permute_symmetric(a, perm_);
-
-  // Pattern containment check: every subdiagonal entry of the permuted
-  // input must lie inside the analyzed factor pattern, otherwise
-  // factor_column's scatter would leak outside the scratch reset range.
-  for (Index j = 0; j < n_; ++j) {
-    const auto begin =
-        l_row_idx_.begin() + l_col_ptr_[static_cast<std::size_t>(j)];
-    const auto end =
-        l_row_idx_.begin() + l_col_ptr_[static_cast<std::size_t>(j) + 1];
-    for (Index p = pa.row_ptr()[static_cast<std::size_t>(j)];
-         p < pa.row_ptr()[static_cast<std::size_t>(j) + 1]; ++p) {
-      const Index i = pa.col_idx()[static_cast<std::size_t>(p)];
-      if (i <= j) continue;  // upper entries mirror subdiagonal columns
-      SGL_EXPECTS(std::binary_search(begin, end, i),
-                  "CholeskySolver::refactorize: input pattern outside the "
-                  "analyzed factor pattern — a full analysis is required");
-    }
-  }
-
-  stats_.input_nnz = a.nnz();
-  if (r_val_pos_.empty()) rebuild_row_positions();
-  run_numeric_phase(pa, num_threads);
-  r_values_.resize(l_values_.size());
-  for (std::size_t q = 0; q < r_values_.size(); ++q)
-    r_values_[q] = l_values_[static_cast<std::size_t>(r_val_pos_[q])];
-  std::vector<Index>().swap(r_val_pos_);
-  stats_.factor_seconds = timer.seconds();
+    r_values_[q] = l_values_[static_cast<std::size_t>(sy.r_val_pos_[q])];
 }
 
 void CholeskySolver::solve_in_place(la::Vector& x) const {
-  SGL_EXPECTS(to_index(x.size()) == n_, "CholeskySolver::solve: size mismatch");
+  const CholeskySymbolic& sy = *symbolic_;
+  const Index* const perm = sy.perm_.data();
+  const Index* const l_col_ptr = sy.l_col_ptr_.data();
+  const Index* const l_row_idx = sy.l_row_idx_.data();
+  const Index* const r_row_ptr = sy.r_row_ptr_.data();
+  const Index* const r_col_idx = sy.r_col_idx_.data();
+  const Index n = sy.n_;
+  SGL_EXPECTS(to_index(x.size()) == n, "CholeskySolver::solve: size mismatch");
   // Permute, forward solve L y = b (row gather, ascending columns — the
   // same per-element order as the block sweep), diagonal scale, back
   // solve Lᵀ x = y (column gather), un-permute.
-  la::Vector b(static_cast<std::size_t>(n_));
-  for (Index i = 0; i < n_; ++i)
-    b[static_cast<std::size_t>(i)] = x[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])];
+  la::Vector b(static_cast<std::size_t>(n));
+  for (Index i = 0; i < n; ++i)
+    b[static_cast<std::size_t>(i)] = x[static_cast<std::size_t>(perm[static_cast<std::size_t>(i)])];
 
-  for (Index i = 0; i < n_; ++i) {
+  for (Index i = 0; i < n; ++i) {
     Real acc = b[static_cast<std::size_t>(i)];
-    for (Index q = r_row_ptr_[static_cast<std::size_t>(i)];
-         q < r_row_ptr_[static_cast<std::size_t>(i) + 1]; ++q) {
+    for (Index q = r_row_ptr[static_cast<std::size_t>(i)];
+         q < r_row_ptr[static_cast<std::size_t>(i) + 1]; ++q) {
       acc -= r_values_[static_cast<std::size_t>(q)] *
-             b[static_cast<std::size_t>(r_col_idx_[static_cast<std::size_t>(q)])];
+             b[static_cast<std::size_t>(r_col_idx[static_cast<std::size_t>(q)])];
     }
     b[static_cast<std::size_t>(i)] = acc;
   }
-  for (Index j = 0; j < n_; ++j) b[static_cast<std::size_t>(j)] /= d_[static_cast<std::size_t>(j)];
-  for (Index j = n_ - 1; j >= 0; --j) {
+  for (Index j = 0; j < n; ++j) b[static_cast<std::size_t>(j)] /= d_[static_cast<std::size_t>(j)];
+  for (Index j = n - 1; j >= 0; --j) {
     Real acc = b[static_cast<std::size_t>(j)];
-    for (Index p = l_col_ptr_[static_cast<std::size_t>(j)];
-         p < l_col_ptr_[static_cast<std::size_t>(j) + 1]; ++p) {
+    for (Index p = l_col_ptr[static_cast<std::size_t>(j)];
+         p < l_col_ptr[static_cast<std::size_t>(j) + 1]; ++p) {
       acc -= l_values_[static_cast<std::size_t>(p)] *
-             b[static_cast<std::size_t>(l_row_idx_[static_cast<std::size_t>(p)])];
+             b[static_cast<std::size_t>(l_row_idx[static_cast<std::size_t>(p)])];
     }
     b[static_cast<std::size_t>(j)] = acc;
   }
 
-  for (Index i = 0; i < n_; ++i)
-    x[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])] = b[static_cast<std::size_t>(i)];
+  for (Index i = 0; i < n; ++i)
+    x[static_cast<std::size_t>(perm[static_cast<std::size_t>(i)])] = b[static_cast<std::size_t>(i)];
 }
 
 Real CholeskySolver::difference_energy(Index s, Index t) const {
-  SGL_EXPECTS(s != t && s >= kInvalidIndex && s < n_ && t >= kInvalidIndex &&
-                  t < n_,
+  const CholeskySymbolic& sy = *symbolic_;
+  const Index* const inv_perm = sy.inv_perm_.data();
+  const Index* const l_col_ptr = sy.l_col_ptr_.data();
+  const Index* const l_row_idx = sy.l_row_idx_.data();
+  const Index n = sy.n_;
+  SGL_EXPECTS(s != t && s >= kInvalidIndex && s < n && t >= kInvalidIndex &&
+                  t < n,
               "CholeskySolver::difference_energy: need two distinct indices "
               "(kInvalidIndex for an absent endpoint)");
   // With P A Pᵀ = L D Lᵀ and z = L⁻¹ P b, bᵀ A⁻¹ b = Σ_j z_j² / d_j. A unit
@@ -835,37 +889,37 @@ Real CholeskySolver::difference_energy(Index s, Index t) const {
   // Both walks climb (parents have larger indices); stepping whichever is
   // lower visits that union once in ascending order, which is the order a
   // column-oriented forward solve needs. Walks that end at a root park at
-  // n_. Scratch w holds the pending updates of the reach and is zero
+  // n. Scratch w holds the pending updates of the reach and is zero
   // again on return: every row column j scatters to is an ancestor of j,
   // so it is on the reach, read later, and cleared when read.
   thread_local std::vector<Real> w;
-  if (w.size() < static_cast<std::size_t>(n_))
-    w.resize(static_cast<std::size_t>(n_), 0.0);
-  const auto parent = [this](Index j) {
-    const Index p = l_col_ptr_[static_cast<std::size_t>(j)];
-    return p < l_col_ptr_[static_cast<std::size_t>(j) + 1]
-               ? l_row_idx_[static_cast<std::size_t>(p)]
-               : n_;
+  if (w.size() < static_cast<std::size_t>(n))
+    w.resize(static_cast<std::size_t>(n), 0.0);
+  const auto parent = [l_col_ptr, l_row_idx, n](Index j) {
+    const Index p = l_col_ptr[static_cast<std::size_t>(j)];
+    return p < l_col_ptr[static_cast<std::size_t>(j) + 1]
+               ? l_row_idx[static_cast<std::size_t>(p)]
+               : n;
   };
-  Index a = n_;
-  Index b = n_;
+  Index a = n;
+  Index b = n;
   if (s != kInvalidIndex) {
-    a = inv_perm_[static_cast<std::size_t>(s)];
+    a = inv_perm[static_cast<std::size_t>(s)];
     w[static_cast<std::size_t>(a)] = 1.0;
   }
   if (t != kInvalidIndex) {
-    b = inv_perm_[static_cast<std::size_t>(t)];
+    b = inv_perm[static_cast<std::size_t>(t)];
     w[static_cast<std::size_t>(b)] = -1.0;
   }
 
   Real energy = 0.0;
-  while (a < n_ || b < n_) {
+  while (a < n || b < n) {
     const Index j = std::min(a, b);
     const Real z = w[static_cast<std::size_t>(j)];
     w[static_cast<std::size_t>(j)] = 0.0;
-    for (Index p = l_col_ptr_[static_cast<std::size_t>(j)];
-         p < l_col_ptr_[static_cast<std::size_t>(j) + 1]; ++p) {
-      w[static_cast<std::size_t>(l_row_idx_[static_cast<std::size_t>(p)])] -=
+    for (Index p = l_col_ptr[static_cast<std::size_t>(j)];
+         p < l_col_ptr[static_cast<std::size_t>(j) + 1]; ++p) {
+      w[static_cast<std::size_t>(l_row_idx[static_cast<std::size_t>(p)])] -=
           l_values_[static_cast<std::size_t>(p)] * z;
     }
     energy += z * z / d_[static_cast<std::size_t>(j)];
@@ -884,6 +938,19 @@ la::Vector CholeskySolver::solve(const la::Vector& b) const {
 template <int TILE>
 void CholeskySolver::solve_block_tile(la::BlockView x, Index col0,
                                       Index num_threads, la::Storage& w) const {
+  const CholeskySymbolic& sy = *symbolic_;
+  const Index* const perm = sy.perm_.data();
+  const Index* const l_col_ptr = sy.l_col_ptr_.data();
+  const Index* const l_row_idx = sy.l_row_idx_.data();
+  const Index* const r_row_ptr = sy.r_row_ptr_.data();
+  const Index* const r_col_idx = sy.r_col_idx_.data();
+  const Index* const super_ptr = sy.super_ptr_.data();
+  const Index* const level_ptr = sy.level_ptr_.data();
+  const Index* const level_supers = sy.level_supers_.data();
+  const Index* const panel_ptr = sy.panel_ptr_.data();
+  const Index* const super_panel_ptr = sy.super_panel_ptr_.data();
+  const std::int64_t* const sweep_work = sy.sweep_work_.data();
+  const Index n = sy.n_;
   constexpr std::size_t sb = static_cast<std::size_t>(TILE);
   // How many gather entries ahead of the FMA stream to issue strip
   // prefetches. The index stream is available well before the data is
@@ -895,22 +962,22 @@ void CholeskySolver::solve_block_tile(la::BlockView x, Index col0,
   const auto inline_work = [](std::int64_t work) {
     return work * TILE < kParallelWork;
   };
-  const Index pass_threads = inline_work(n_) ? 1 : threads;
+  const Index pass_threads = inline_work(n) ? 1 : threads;
   const bool panels = kernel_ == FactorKernel::kSupernodal;
-  // Last valid slot of the gather index arrays (r_col_idx_ and
-  // l_row_idx_ are both factor_nnz long): prefetch indices are clamped
+  // Last valid slot of the gather index arrays (r_col_idx and
+  // l_row_idx are both factor_nnz long): prefetch indices are clamped
   // here so lookahead never reads past the arrays.
   const Index qmax =
-      l_row_idx_.empty() ? 0 : to_index(l_row_idx_.size()) - 1;
+      sy.stats_.factor_nnz == 0 ? 0 : sy.stats_.factor_nnz - 1;
 
   // Row-major scratch (64-byte aligned la::Storage): the TILE right-hand-
   // side values of one (permuted) row sit contiguously, so every gathered
   // factor entry touches one strip; the compile-time tile width keeps the
   // strip updates in registers and vectorized.
-  w.resize(static_cast<std::size_t>(n_) * sb);
-  parallel::parallel_for(0, n_, pass_threads, [&](Index i) {
+  w.resize(static_cast<std::size_t>(n) * sb);
+  parallel::parallel_for(0, n, pass_threads, [&](Index i) {
     Real* dst = w.data() + static_cast<std::size_t>(i) * sb;
-    const Index src = perm_[static_cast<std::size_t>(i)];
+    const Index src = perm[static_cast<std::size_t>(i)];
     for (int c = 0; c < TILE; ++c) dst[c] = x.at(src, col0 + c);
   });
 
@@ -925,19 +992,19 @@ void CholeskySolver::solve_block_tile(la::BlockView x, Index col0,
   // segment streams pointer-incremented cache lines with no index
   // loads. Per element the terms still arrive in the scalar order on a
   // single register accumulator chain — bitwise identical.
-  const Index num_levels = to_index(level_ptr_.size()) - 1;
+  const Index num_levels = sy.stats_.num_levels;
   // Forward: L Y = B, levels ascending, block columns ascending.
   for (Index l = 0; l < num_levels; ++l) {
-    const Index lo = level_ptr_[static_cast<std::size_t>(l)];
-    const Index hi = level_ptr_[static_cast<std::size_t>(l) + 1];
+    const Index lo = level_ptr[static_cast<std::size_t>(l)];
+    const Index hi = level_ptr[static_cast<std::size_t>(l) + 1];
     const auto sweep = [&](Index slo, Index shi, Index /*slot*/) {
       for (Index si = slo; si < shi; ++si) {
-        const Index s = level_supers_[static_cast<std::size_t>(si)];
+        const Index s = level_supers[static_cast<std::size_t>(si)];
         if (panels) {
-          for (Index p = super_panel_ptr_[static_cast<std::size_t>(s)];
-               p < super_panel_ptr_[static_cast<std::size_t>(s) + 1]; ++p) {
-            const Index c0 = panel_ptr_[static_cast<std::size_t>(p)];
-            const Index c1 = panel_ptr_[static_cast<std::size_t>(p) + 1];
+          for (Index p = super_panel_ptr[static_cast<std::size_t>(s)];
+               p < super_panel_ptr[static_cast<std::size_t>(s) + 1]; ++p) {
+            const Index c0 = panel_ptr[static_cast<std::size_t>(p)];
+            const Index c1 = panel_ptr[static_cast<std::size_t>(p) + 1];
             for (Index i = c0; i < c1; ++i) {
               Real* SGL_RESTRICT wi =
                   w.data() + static_cast<std::size_t>(i) * sb;
@@ -951,21 +1018,21 @@ void CholeskySolver::solve_block_tile(la::BlockView x, Index col0,
               // accumulator chain as the scalar path — bitwise equal.
               const Index dense = i - c0;
               const Index qsplit =
-                  r_row_ptr_[static_cast<std::size_t>(i) + 1] - dense;
-              for (Index q = r_row_ptr_[static_cast<std::size_t>(i)];
+                  r_row_ptr[static_cast<std::size_t>(i) + 1] - dense;
+              for (Index q = r_row_ptr[static_cast<std::size_t>(i)];
                    q < qsplit; ++q) {
                 const Index qq =
                     q + kPrefetchAhead < qmax ? q + kPrefetchAhead : qmax;
                 SGL_PREFETCH(
                     w.data() +
                     static_cast<std::size_t>(
-                        r_col_idx_[static_cast<std::size_t>(qq)]) *
+                        r_col_idx[static_cast<std::size_t>(qq)]) *
                         sb);
                 const Real v = r_values_[static_cast<std::size_t>(q)];
                 const Real* wk =
                     w.data() +
                     static_cast<std::size_t>(
-                        r_col_idx_[static_cast<std::size_t>(q)]) *
+                        r_col_idx[static_cast<std::size_t>(q)]) *
                         sb;
                 for (int c = 0; c < TILE; ++c) acc[c] -= v * wk[c];
               }
@@ -983,22 +1050,22 @@ void CholeskySolver::solve_block_tile(la::BlockView x, Index col0,
           }
           continue;
         }
-        for (Index i = super_ptr_[static_cast<std::size_t>(s)];
-             i < super_ptr_[static_cast<std::size_t>(s) + 1]; ++i) {
+        for (Index i = super_ptr[static_cast<std::size_t>(s)];
+             i < super_ptr[static_cast<std::size_t>(s) + 1]; ++i) {
           Real* SGL_RESTRICT wi = w.data() + static_cast<std::size_t>(i) * sb;
-          for (Index q = r_row_ptr_[static_cast<std::size_t>(i)];
-               q < r_row_ptr_[static_cast<std::size_t>(i) + 1]; ++q) {
+          for (Index q = r_row_ptr[static_cast<std::size_t>(i)];
+               q < r_row_ptr[static_cast<std::size_t>(i) + 1]; ++q) {
             const Real v = r_values_[static_cast<std::size_t>(q)];
             const Real* wk =
                 w.data() +
-                static_cast<std::size_t>(r_col_idx_[static_cast<std::size_t>(q)]) * sb;
+                static_cast<std::size_t>(r_col_idx[static_cast<std::size_t>(q)]) * sb;
             for (int c = 0; c < TILE; ++c) wi[c] -= v * wk[c];
           }
         }
       }
     };
     if (threads == 1 || hi - lo == 1 ||
-        inline_work(sweep_work_[static_cast<std::size_t>(l)])) {
+        inline_work(sweep_work[static_cast<std::size_t>(l)])) {
       sweep(lo, hi, 0);
     } else {
       parallel::parallel_for_slots(lo, hi, threads, sweep);
@@ -1007,7 +1074,7 @@ void CholeskySolver::solve_block_tile(la::BlockView x, Index col0,
 
   // Diagonal: D Z = Y. Divides (not multiply-by-reciprocal) to stay
   // bitwise equal to the scalar path.
-  parallel::parallel_for(0, n_, pass_threads, [&](Index i) {
+  parallel::parallel_for(0, n, pass_threads, [&](Index i) {
     Real* wi = w.data() + static_cast<std::size_t>(i) * sb;
     const Real dv = d_[static_cast<std::size_t>(i)];
     for (int c = 0; c < TILE; ++c) wi[c] /= dv;
@@ -1016,11 +1083,11 @@ void CholeskySolver::solve_block_tile(la::BlockView x, Index col0,
   // Backward: Lᵀ X = Z, levels descending, block columns descending
   // (ancestors inside a block come later in column order).
   for (Index l = num_levels - 1; l >= 0; --l) {
-    const Index lo = level_ptr_[static_cast<std::size_t>(l)];
-    const Index hi = level_ptr_[static_cast<std::size_t>(l) + 1];
+    const Index lo = level_ptr[static_cast<std::size_t>(l)];
+    const Index hi = level_ptr[static_cast<std::size_t>(l) + 1];
     const auto sweep = [&](Index slo, Index shi, Index /*slot*/) {
       for (Index si = slo; si < shi; ++si) {
-        const Index s = level_supers_[static_cast<std::size_t>(si)];
+        const Index s = level_supers[static_cast<std::size_t>(si)];
         if (panels) {
           // Panels descending; inside one, columns descending. A
           // column's CSC gather splits at the panel boundary: the dense
@@ -1030,10 +1097,10 @@ void CholeskySolver::solve_block_tile(la::BlockView x, Index col0,
           // sequence per column is the CSC gather order — triangle rows
           // ascending, then below rows ascending — exactly the
           // scalar's, on the same accumulator chain.
-          for (Index p = super_panel_ptr_[static_cast<std::size_t>(s) + 1] - 1;
-               p >= super_panel_ptr_[static_cast<std::size_t>(s)]; --p) {
-            const Index c0 = panel_ptr_[static_cast<std::size_t>(p)];
-            const Index c1 = panel_ptr_[static_cast<std::size_t>(p) + 1];
+          for (Index p = super_panel_ptr[static_cast<std::size_t>(s) + 1] - 1;
+               p >= super_panel_ptr[static_cast<std::size_t>(s)]; --p) {
+            const Index c0 = panel_ptr[static_cast<std::size_t>(p)];
+            const Index c1 = panel_ptr[static_cast<std::size_t>(p) + 1];
             for (Index j = c1 - 1; j >= c0; --j) {
               Real* SGL_RESTRICT wj =
                   w.data() + static_cast<std::size_t>(j) * sb;
@@ -1042,7 +1109,7 @@ void CholeskySolver::solve_block_tile(la::BlockView x, Index col0,
               const Real* SGL_RESTRICT lv =
                   l_values_.data() +
                   static_cast<std::size_t>(
-                      l_col_ptr_[static_cast<std::size_t>(j)]);
+                      l_col_ptr[static_cast<std::size_t>(j)]);
               const Index tri = c1 - 1 - j;
               const Real* SGL_RESTRICT wt =
                   w.data() + static_cast<std::size_t>(j + 1) * sb;
@@ -1051,21 +1118,21 @@ void CholeskySolver::solve_block_tile(la::BlockView x, Index col0,
                 for (int c = 0; c < TILE; ++c)
                   acc[c] -= v * wt[static_cast<std::size_t>(r) * sb + c];
               }
-              const Index qb = l_col_ptr_[static_cast<std::size_t>(j)] + tri;
-              const Index qe = l_col_ptr_[static_cast<std::size_t>(j) + 1];
+              const Index qb = l_col_ptr[static_cast<std::size_t>(j)] + tri;
+              const Index qe = l_col_ptr[static_cast<std::size_t>(j) + 1];
               for (Index q = qb; q < qe; ++q) {
                 const Index qq =
                     q + kPrefetchAhead < qmax ? q + kPrefetchAhead : qmax;
                 SGL_PREFETCH(
                     w.data() +
                     static_cast<std::size_t>(
-                        l_row_idx_[static_cast<std::size_t>(qq)]) *
+                        l_row_idx[static_cast<std::size_t>(qq)]) *
                         sb);
                 const Real v = l_values_[static_cast<std::size_t>(q)];
                 const Real* wi =
                     w.data() +
                     static_cast<std::size_t>(
-                        l_row_idx_[static_cast<std::size_t>(q)]) *
+                        l_row_idx[static_cast<std::size_t>(q)]) *
                         sb;
                 for (int c = 0; c < TILE; ++c) acc[c] -= v * wi[c];
               }
@@ -1074,39 +1141,41 @@ void CholeskySolver::solve_block_tile(la::BlockView x, Index col0,
           }
           continue;
         }
-        for (Index j = super_ptr_[static_cast<std::size_t>(s) + 1] - 1;
-             j >= super_ptr_[static_cast<std::size_t>(s)]; --j) {
+        for (Index j = super_ptr[static_cast<std::size_t>(s) + 1] - 1;
+             j >= super_ptr[static_cast<std::size_t>(s)]; --j) {
           Real* SGL_RESTRICT wj = w.data() + static_cast<std::size_t>(j) * sb;
-          for (Index p = l_col_ptr_[static_cast<std::size_t>(j)];
-               p < l_col_ptr_[static_cast<std::size_t>(j) + 1]; ++p) {
+          for (Index p = l_col_ptr[static_cast<std::size_t>(j)];
+               p < l_col_ptr[static_cast<std::size_t>(j) + 1]; ++p) {
             const Real v = l_values_[static_cast<std::size_t>(p)];
             const Real* wi =
                 w.data() +
-                static_cast<std::size_t>(l_row_idx_[static_cast<std::size_t>(p)]) * sb;
+                static_cast<std::size_t>(l_row_idx[static_cast<std::size_t>(p)]) * sb;
             for (int c = 0; c < TILE; ++c) wj[c] -= v * wi[c];
           }
         }
       }
     };
     if (threads == 1 || hi - lo == 1 ||
-        inline_work(sweep_work_[static_cast<std::size_t>(l)])) {
+        inline_work(sweep_work[static_cast<std::size_t>(l)])) {
       sweep(lo, hi, 0);
     } else {
       parallel::parallel_for_slots(lo, hi, threads, sweep);
     }
   }
 
-  parallel::parallel_for(0, n_, pass_threads, [&](Index i) {
+  parallel::parallel_for(0, n, pass_threads, [&](Index i) {
     const Real* src = w.data() + static_cast<std::size_t>(i) * sb;
-    const Index dst = perm_[static_cast<std::size_t>(i)];
+    const Index dst = perm[static_cast<std::size_t>(i)];
     for (int c = 0; c < TILE; ++c) x.at(dst, col0 + c) = src[c];
   });
 }
 
 void CholeskySolver::solve_in_place_block(la::BlockView x,
                                           Index num_threads) const {
-  SGL_EXPECTS(x.rows == n_, "CholeskySolver::solve_in_place_block: size mismatch");
-  if (x.cols == 0 || n_ == 0) return;
+  const CholeskySymbolic& sy = *symbolic_;
+  const Index n = sy.n_;
+  SGL_EXPECTS(x.rows == n, "CholeskySolver::solve_in_place_block: size mismatch");
+  if (x.cols == 0 || n == 0) return;
   // Tile dispatch (8, then 4/2/1 tails — the spmm group pattern): each
   // tile streams the factor once per sweep with a compile-time-width
   // inner loop. Columns never interact, so tiling cannot change a bit.

@@ -2,7 +2,9 @@
 // systems (DESIGN.md §4).
 //
 // The factorization is split into an explicit symbolic phase and a
-// level-scheduled numeric phase:
+// level-scheduled numeric phase. The symbolic phase's result is its own
+// immutable object (CholeskySymbolic), so matrices of one pattern —
+// weight variants of one graph — factor on a shared analysis:
 //
 //   - Symbolic analysis builds the elimination tree of P A Pᵀ (orderings
 //     from ordering.hpp), the full column pattern of L, a row-major
@@ -52,6 +54,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "la/dense_matrix.hpp"
@@ -99,6 +103,120 @@ struct FactorStats {
   Index panel_max_width = 0;
 };
 
+class CholeskySolver;
+
+/// The pattern-only half of a factorization (DESIGN.md §4): the
+/// fill-reducing permutation and everything analyze() derives from it and
+/// the input's sparsity pattern — elimination tree, column pattern of L
+/// and its row mirror, chain blocks, level sets, panels, updater lists,
+/// per-level work — plus the analysed input pattern itself. None of it
+/// depends on a value, so solvers over weight variants of one pattern
+/// share one instance through std::shared_ptr<const CholeskySymbolic>;
+/// it is immutable once built.
+class CholeskySymbolic {
+ public:
+  /// Orders `a` (full symmetric storage) with the `ordering` heuristic
+  /// and analyses P a Pᵀ.
+  CholeskySymbolic(const la::CsrMatrix& a, OrderingMethod ordering);
+
+  /// Analyses P a Pᵀ for a caller-provided permutation (`perm[new] =
+  /// old`); ordering() is then empty.
+  CholeskySymbolic(const la::CsrMatrix& a, std::vector<Index> perm);
+
+  /// True when `a` has exactly the analysed input pattern: same size,
+  /// row pointers and column indices. Values are not looked at.
+  [[nodiscard]] bool matches(const la::CsrMatrix& a) const;
+
+  [[nodiscard]] Index size() const noexcept { return n_; }
+  /// The heuristic the permutation came from; empty for an explicit
+  /// permutation. A heuristic orders from the pattern alone, so two equal
+  /// patterns analysed with one heuristic yield the same symbolic.
+  [[nodiscard]] const std::optional<OrderingMethod>& ordering() const noexcept {
+    return ordering_;
+  }
+  /// `perm[new] = old`.
+  [[nodiscard]] const std::vector<Index>& permutation() const noexcept {
+    return perm_;
+  }
+  /// The pattern fields of FactorStats (factor_seconds stays 0).
+  [[nodiscard]] const FactorStats& stats() const noexcept { return stats_; }
+
+ private:
+  friend class CholeskySolver;
+
+  CholeskySymbolic(const la::CsrMatrix& a, std::vector<Index> perm,
+                   std::optional<OrderingMethod> ordering);
+  /// Builds the pattern of P a Pᵀ and the gather map from a's values.
+  void permute_pattern(const la::CsrMatrix& a);
+  void analyze();
+  /// Refines the chain blocks into fundamental panels, sizes the panel
+  /// storage, and precomputes the per-panel descendant-updater lists
+  /// shared by the numeric phase and the block sweeps (from analyze()).
+  void build_panels();
+
+  Index n_ = 0;
+  std::optional<OrderingMethod> ordering_;
+  std::vector<Index> perm_;      // perm_[new] = old
+  std::vector<Index> inv_perm_;  // inv_perm_[old] = new
+  // The analysed input pattern (matches()).
+  std::vector<Index> in_row_ptr_;
+  std::vector<Index> in_col_idx_;
+  // Pattern of P a Pᵀ (rows ascending) and, per entry, the position of
+  // its value in a.values(): the numeric phase gathers its input with
+  // one pass instead of re-permuting the matrix.
+  std::vector<Index> pa_row_ptr_;
+  std::vector<Index> pa_col_idx_;
+  std::vector<Index> pa_src_;
+  // L in compressed-column form (unit diagonal implicit, rows ascending).
+  std::vector<Index> l_col_ptr_;
+  std::vector<Index> l_row_idx_;
+  // Row-major mirror of L's pattern: row i lists its columns k < i in
+  // ascending order (the updaters of column i / the gather list of the
+  // forward sweep). r_val_pos_[q] is the CSC position of the same entry.
+  std::vector<Index> r_row_ptr_;
+  std::vector<Index> r_col_idx_;
+  std::vector<Index> r_val_pos_;
+  // Chain-coalesced column blocks: block s = columns
+  // [super_ptr_[s], super_ptr_[s+1]), and their level sets: level l =
+  // level_supers_[level_ptr_[l] .. level_ptr_[l+1]) (ascending block ids
+  // within a level — the deterministic combine order of the level).
+  std::vector<Index> super_ptr_;
+  std::vector<Index> level_ptr_;
+  std::vector<Index> level_supers_;
+  // Per-level work that decides inline vs pool: a sweep's per right-hand
+  // side (columns plus factor entries), and the numeric phase's
+  // left-looking multiply-adds.
+  std::vector<std::int64_t> sweep_work_;
+  std::vector<std::int64_t> factor_work_;
+  // Fundamental panels (DESIGN.md §9): panel p = columns
+  // [panel_ptr_[p], panel_ptr_[p+1]), a refinement of the chain blocks —
+  // supernode s owns panels [super_panel_ptr_[s], super_panel_ptr_[s+1]).
+  // Every column of a panel shares the below-diagonal row set of the
+  // panel's LAST column (= pattern of that column), so the panel packs
+  // into a dense row-major block with zero fill.
+  std::vector<Index> panel_ptr_;
+  std::vector<Index> super_panel_ptr_;
+  std::size_t max_panel_entries_ = 0;  // rows × width of the biggest panel
+  Index max_panel_rows_ = 0;
+  // Per-panel descendant updaters: panel p is updated by the descendant
+  // panels panel_upd_[panel_upd_ptr_[p] .. panel_upd_ptr_[p+1]),
+  // ascending. For one record, the updater columns are [k0, k0+w); the
+  // last m entries of each of those CSC columns are the shared ascending
+  // row tail, of which the first mt rows land inside p (as update
+  // columns) and all m inside p's row set. Consumed by both the numeric
+  // phase (factor_panel) and the panel-structured block sweeps, so
+  // neither recollects or sorts updaters at run time.
+  struct PanelUpdater {
+    Index k0;  // first updater column
+    Index w;   // updater panel width
+    Index m;   // shared tail length at/after the target's first column
+    Index mt;  // tail rows inside the target panel (update columns)
+  };
+  std::vector<PanelUpdater> panel_upd_;
+  std::vector<Index> panel_upd_ptr_;  // per panel, into panel_upd_
+  FactorStats stats_;
+};
+
 class CholeskySolver {
  public:
   /// Factors the SPD matrix `a` (full symmetric storage) as
@@ -118,6 +236,15 @@ class CholeskySolver {
   /// permutation computed a few edges ago is still a good fill reducer).
   /// `perm[new] = old`; any permutation is valid (fill may differ).
   CholeskySolver(const la::CsrMatrix& a, std::vector<Index> perm,
+                 Index num_threads = 0,
+                 FactorKernel kernel = FactorKernel::kSupernodal);
+
+  /// Factors `a` on an existing analysis of its pattern: only the
+  /// numeric phase runs. Precondition: `symbolic->matches(a)` (checked;
+  /// SGL_EXPECTS). The factor is bitwise the one a solver that built
+  /// this symbolic itself would compute for `a`, for every thread count.
+  CholeskySolver(const la::CsrMatrix& a,
+                 std::shared_ptr<const CholeskySymbolic> symbolic,
                  Index num_threads = 0,
                  FactorKernel kernel = FactorKernel::kSupernodal);
 
@@ -149,36 +276,34 @@ class CholeskySolver {
   /// bitwise the same on every thread.
   [[nodiscard]] Real difference_energy(Index s, Index t) const;
 
-  [[nodiscard]] Index size() const noexcept { return n_; }
+  [[nodiscard]] Index size() const noexcept { return symbolic_->n_; }
   [[nodiscard]] const FactorStats& stats() const noexcept { return stats_; }
   /// The fill-reducing permutation in use (`perm[new] = old`) — feed it
   /// back into the explicit-permutation constructor to rebuild over a
   /// grown pattern without re-running the ordering heuristic.
   [[nodiscard]] const std::vector<Index>& permutation() const noexcept {
-    return perm_;
+    return symbolic_->perm_;
   }
-
-  /// Renumerates the factor for `a` with the kept symbolic analysis: same
-  /// ordering, pattern, supernodes and level sets; only the numeric
-  /// level-parallel phase runs. Precondition: the sparsity pattern of `a`
-  /// is contained in the analyzed pattern (checked; SGL_EXPECTS). The
-  /// result is bit-identical to a fresh CholeskySolver built with the same
-  /// ordering decision for every thread count. The micro benchmarks use it
-  /// to time the numeric phase alone, and the kernel tests to compare the
-  /// scalar and supernodal kernels on one analysis.
-  void refactorize(const la::CsrMatrix& a, Index num_threads = 0);
+  /// The analysis this factor runs on — hand it to the symbolic
+  /// constructor to factor another matrix of the same pattern.
+  [[nodiscard]] const std::shared_ptr<const CholeskySymbolic>& symbolic()
+      const noexcept {
+    return symbolic_;
+  }
+  /// Strictly lower values of L in compressed-column order.
+  [[nodiscard]] const std::vector<Real>& factor_values() const noexcept {
+    return l_values_;
+  }
+  /// The diagonal of D.
+  [[nodiscard]] const la::Vector& diagonal() const noexcept { return d_; }
 
  private:
-  void build_inverse_permutation();
-  void analyze(const la::CsrMatrix& pa);
-  /// Refines the chain blocks into fundamental panels, sizes the panel
-  /// storage, and precomputes the per-panel descendant-updater lists
-  /// shared by the numeric phase and the block sweeps (from analyze()).
-  void build_panels();
-  void factorize(const la::CsrMatrix& pa, Index num_threads);
-  /// Level-parallel left-looking numeric phase (needs r_val_pos_ alive).
-  /// Dispatches per supernode to the scalar or panel kernel.
-  void run_numeric_phase(const la::CsrMatrix& pa, Index num_threads);
+  /// Gathers a's values into P a Pᵀ order, runs the numeric phase, and
+  /// fills the row-major value mirror.
+  void factorize(const la::CsrMatrix& a, Index num_threads);
+  /// Level-parallel left-looking numeric phase over the permuted input
+  /// values `pv`. Dispatches per supernode to the scalar or panel kernel.
+  void run_numeric_phase(const Real* pv, Index num_threads);
   /// Scratch one worker slot owns across its supernodes of a level.
   /// Sized once per numeric phase; every panel leaves map reset so the
   /// next panel on the slot starts clean.
@@ -196,13 +321,10 @@ class CholeskySolver {
   /// scatters the finished columns into l_values_ / d_. Bit-identical to
   /// calling factor_column on each column in turn (same per-element
   /// update order, association, and pivot checks).
-  void factor_panel(const la::CsrMatrix& pa, Index p, PanelWorkspace& ws);
-  /// (Re)builds r_val_pos_ — the row-mirror → CSC position map released
-  /// after each numeric phase — from the symbolic structures.
-  void rebuild_row_positions();
+  void factor_panel(const Real* pv, Index p, PanelWorkspace& ws);
   /// Left-looking update of one column onto the dense scratch `w`
   /// (zeroed outside the column's pattern; restored to zero on return).
-  void factor_column(const la::CsrMatrix& pa, Index j, Real* w);
+  void factor_column(const Real* pv, Index j, Real* w);
   /// Full solve pipeline (gather → L → D → Lᵀ → scatter) for the TILE
   /// columns [col0, col0 + TILE) of x. The tile width is a compile-time
   /// constant so the b-wide updates vectorize (same trick as la::spmm).
@@ -210,62 +332,13 @@ class CholeskySolver {
   void solve_block_tile(la::BlockView x, Index col0, Index num_threads,
                         la::Storage& w) const;
 
-  Index n_ = 0;
-  std::vector<Index> perm_;      // perm_[new] = old
-  std::vector<Index> inv_perm_;  // inv_perm_[old] = new
-  // L in compressed-column form (unit diagonal implicit, rows ascending).
-  std::vector<Index> l_col_ptr_;
-  std::vector<Index> l_row_idx_;
+  std::shared_ptr<const CholeskySymbolic> symbolic_;
+  // Numeric values over symbolic_'s pattern: L in compressed-column
+  // order, its row-major mirror (so forward sweeps stream contiguously),
+  // and the diagonal of D.
   std::vector<Real> l_values_;
-  // Row-major mirror of L's pattern: row i lists its columns k < i in
-  // ascending order (the updaters of column i / the gather list of the
-  // forward sweep). r_val_pos_[q] is the CSC position of the same entry,
-  // used (and then released) by the numeric phase; r_values_[q] caches
-  // its value so sweeps stream contiguously.
-  std::vector<Index> r_row_ptr_;
-  std::vector<Index> r_col_idx_;
-  std::vector<Index> r_val_pos_;
   std::vector<Real> r_values_;
-  // Chain-coalesced column blocks: block s = columns
-  // [super_ptr_[s], super_ptr_[s+1]), and their level sets: level l =
-  // level_supers_[level_ptr_[l] .. level_ptr_[l+1]) (ascending block ids
-  // within a level — the deterministic combine order of the level).
-  std::vector<Index> super_ptr_;
-  std::vector<Index> level_ptr_;
-  std::vector<Index> level_supers_;
-  // Per-level work that decides inline vs pool (from analyze()): a
-  // sweep's per right-hand side (columns plus factor entries), and the
-  // numeric phase's left-looking multiply-adds.
-  std::vector<std::int64_t> sweep_work_;
-  std::vector<std::int64_t> factor_work_;
-  // Fundamental panels (DESIGN.md §9): panel p = columns
-  // [panel_ptr_[p], panel_ptr_[p+1]), a refinement of the chain blocks —
-  // supernode s owns panels [super_panel_ptr_[s], super_panel_ptr_[s+1]).
-  // Every column of a panel shares the below-diagonal row set of the
-  // panel's LAST column (= pattern of that column), so the panel packs
-  // into a dense row-major block with zero fill.
-  std::vector<Index> panel_ptr_;
-  std::vector<Index> super_panel_ptr_;
-  std::vector<Index> panel_of_;        // column → owning panel id
-  std::size_t max_panel_entries_ = 0;  // rows × width of the biggest panel
-  Index max_panel_rows_ = 0;
-  // Per-panel descendant updaters, hoisted to the symbolic phase: panel p
-  // is updated by the descendant panels panel_upd_[panel_upd_ptr_[p] ..
-  // panel_upd_ptr_[p+1]), ascending. For one record, the updater columns
-  // are [k0, k0+w); the last m entries of each of those CSC columns are
-  // the shared ascending row tail, of which the first mt rows land inside
-  // p (as update columns) and all m inside p's row set. Consumed by both
-  // the numeric phase (factor_panel) and the panel-structured block
-  // sweeps, so neither recollects or sorts updaters at run time.
-  struct PanelUpdater {
-    Index k0;  // first updater column
-    Index w;   // updater panel width
-    Index m;   // shared tail length at/after the target's first column
-    Index mt;  // tail rows inside the target panel (update columns)
-  };
-  std::vector<PanelUpdater> panel_upd_;
-  std::vector<Index> panel_upd_ptr_;  // per panel, into panel_upd_
-  la::Vector d_;  // diagonal of D
+  la::Vector d_;
   FactorKernel kernel_ = FactorKernel::kSupernodal;
   FactorStats stats_;
 };

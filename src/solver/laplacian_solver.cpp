@@ -13,24 +13,10 @@
 namespace sgl::solver {
 
 la::CsrMatrix grounded_laplacian(const graph::Graph& g, Index ground) {
-  const Index n = g.num_nodes();
-  SGL_EXPECTS(n >= 2, "grounded_laplacian: need at least two nodes");
-  SGL_EXPECTS(ground >= 0 && ground < n,
+  SGL_EXPECTS(g.num_nodes() >= 2, "grounded_laplacian: need at least two nodes");
+  SGL_EXPECTS(ground >= 0 && ground < g.num_nodes(),
               "grounded_laplacian: ground node out of range");
-  std::vector<la::Triplet> triplets;
-  triplets.reserve(g.edges().size() * 4);
-  const auto reduced = [ground](Index v) { return v > ground ? v - 1 : v; };
-  for (const graph::Edge& e : g.edges()) {
-    const bool s_live = (e.s != ground);
-    const bool t_live = (e.t != ground);
-    if (s_live) triplets.push_back({reduced(e.s), reduced(e.s), e.weight});
-    if (t_live) triplets.push_back({reduced(e.t), reduced(e.t), e.weight});
-    if (s_live && t_live) {
-      triplets.push_back({reduced(e.s), reduced(e.t), -e.weight});
-      triplets.push_back({reduced(e.t), reduced(e.s), -e.weight});
-    }
-  }
-  return la::CsrMatrix::from_triplets(n - 1, n - 1, triplets);
+  return g.reduced_laplacian(ground);
 }
 
 namespace {
@@ -53,29 +39,43 @@ std::string laplacian_method_name_list() {
   return common::enum_name_list(kMethodNames);
 }
 
+LaplacianMethod resolve_laplacian_method(LaplacianMethod method,
+                                         Index num_nodes, Index num_edges) {
+  if (method != LaplacianMethod::kAuto) return method;
+  const Real avg_degree =
+      2.0 * static_cast<Real>(num_edges) / static_cast<Real>(num_nodes);
+  // Ultra-sparse learned graphs and small meshes factor in near-linear
+  // time; large denser meshes go to AMG-preconditioned CG.
+  return (num_nodes <= 30000 || avg_degree <= 3.0) ? LaplacianMethod::kCholesky
+                                                   : LaplacianMethod::kPcgAmg;
+}
+
 LaplacianPinvSolver::LaplacianPinvSolver(const graph::Graph& g,
                                          const LaplacianSolverOptions& options)
-    : LaplacianPinvSolver(g, options, {}) {}
+    : LaplacianPinvSolver(g, options, std::vector<Index>{}, nullptr) {}
 
 LaplacianPinvSolver::LaplacianPinvSolver(const graph::Graph& g,
                                          const LaplacianSolverOptions& options,
                                          std::vector<Index> ordering_hint)
+    : LaplacianPinvSolver(g, options, std::move(ordering_hint), nullptr) {}
+
+LaplacianPinvSolver::LaplacianPinvSolver(
+    const graph::Graph& g, const LaplacianSolverOptions& options,
+    std::shared_ptr<const CholeskySymbolic> symbolic)
+    : LaplacianPinvSolver(g, options, std::vector<Index>{},
+                          std::move(symbolic)) {}
+
+LaplacianPinvSolver::LaplacianPinvSolver(
+    const graph::Graph& g, const LaplacianSolverOptions& options,
+    std::vector<Index> ordering_hint,
+    std::shared_ptr<const CholeskySymbolic> symbolic)
     : n_(g.num_nodes()), pcg_options_(options.pcg) {
   SGL_EXPECTS(n_ >= 2, "LaplacianPinvSolver: need at least two nodes");
   SGL_EXPECTS(graph::is_connected(g),
               "LaplacianPinvSolver: graph must be connected");
 
   grounded_ = grounded_laplacian(g, ground_);
-
-  method_ = options.method;
-  if (method_ == LaplacianMethod::kAuto) {
-    const Real avg_degree =
-        2.0 * static_cast<Real>(g.num_edges()) / static_cast<Real>(n_);
-    // Ultra-sparse learned graphs and small meshes factor in near-linear
-    // time; large denser meshes go to AMG-preconditioned CG.
-    method_ = (n_ <= 30000 || avg_degree <= 3.0) ? LaplacianMethod::kCholesky
-                                                 : LaplacianMethod::kPcgAmg;
-  }
+  method_ = resolve_laplacian_method(options.method, n_, g.num_edges());
 
   live_rows_.reserve(static_cast<std::size_t>(n_) - 1);
   for (Index i = 0; i < n_; ++i)
@@ -83,7 +83,11 @@ LaplacianPinvSolver::LaplacianPinvSolver(const graph::Graph& g,
 
   switch (method_) {
     case LaplacianMethod::kCholesky:
-      if (!ordering_hint.empty()) {
+      if (symbolic != nullptr && symbolic->ordering() == options.ordering &&
+          symbolic->matches(grounded_)) {
+        cholesky_ = std::make_unique<CholeskySolver>(
+            grounded_, std::move(symbolic), options.num_threads);
+      } else if (!ordering_hint.empty()) {
         SGL_EXPECTS(to_index(ordering_hint.size()) == n_ - 1,
                     "LaplacianPinvSolver: ordering hint size mismatch "
                     "(need a grounded-system permutation)");

@@ -42,6 +42,13 @@ enum class LaplacianMethod {
 [[nodiscard]] la::CsrMatrix grounded_laplacian(const graph::Graph& g,
                                                Index ground = 0);
 
+/// The method `method` resolves to for a graph of `num_nodes` nodes and
+/// `num_edges` edges: kAuto picks Cholesky for small or ultra-sparse
+/// graphs and PCG-AMG for large meshes; any other method is kept.
+[[nodiscard]] LaplacianMethod resolve_laplacian_method(LaplacianMethod method,
+                                                       Index num_nodes,
+                                                       Index num_edges);
+
 /// CLI-facing name of a method ("cholesky", "pcg-amg", "auto").
 [[nodiscard]] const char* laplacian_method_name(LaplacianMethod method);
 
@@ -92,6 +99,16 @@ class LaplacianPinvSolver {
   LaplacianPinvSolver(const graph::Graph& g,
                       const LaplacianSolverOptions& options,
                       std::vector<Index> ordering_hint);
+
+  /// Same as the plain constructor, but on the Cholesky path a `symbolic`
+  /// analysis made with `options.ordering` whose analysed pattern equals
+  /// this graph's grounded Laplacian is shared: only the numeric phase
+  /// runs (DESIGN.md §10). Orderings and the analysis depend on the
+  /// pattern alone, so the factor is bitwise the one the plain
+  /// constructor builds. A null or non-matching `symbolic` is ignored.
+  LaplacianPinvSolver(const graph::Graph& g,
+                      const LaplacianSolverOptions& options,
+                      std::shared_ptr<const CholeskySymbolic> symbolic);
 
   /// x = L⁺ y. `y` is centered internally, so any vector may be passed;
   /// the component along the all-ones nullspace is ignored, exactly as the
@@ -163,6 +180,19 @@ class LaplacianPinvSolver {
     return cholesky_ ? &cholesky_->stats() : nullptr;
   }
 
+  /// The Cholesky factor of the grounded system; nullptr on the PCG path.
+  [[nodiscard]] const CholeskySolver* cholesky_factor() const noexcept {
+    return cholesky_.get();
+  }
+
+  /// The symbolic analysis the Cholesky factor runs on (null on the PCG
+  /// path) — hand it to the symbolic constructor of a solver for a graph
+  /// of the same pattern.
+  [[nodiscard]] std::shared_ptr<const CholeskySymbolic> cholesky_symbolic()
+      const {
+    return cholesky_ ? cholesky_->symbolic() : nullptr;
+  }
+
   /// The grounded-system fill-reducing permutation of the Cholesky factor
   /// (empty on the PCG path) — feed it to the ordering-hint constructor
   /// to rebuild over a grown pattern without re-running the ordering
@@ -198,6 +228,13 @@ class LaplacianPinvSolver {
  private:
   /// Probe columns per apply_block in effective_resistances (PCG path).
   static constexpr Index kResistanceChunk = 16;
+
+  /// Shared constructor body: a non-empty `ordering_hint` or a matching
+  /// `symbolic` replaces the ordering heuristic (at most one is given).
+  LaplacianPinvSolver(const graph::Graph& g,
+                      const LaplacianSolverOptions& options,
+                      std::vector<Index> ordering_hint,
+                      std::shared_ptr<const CholeskySymbolic> symbolic);
 
   /// Node → grounded-system index; kInvalidIndex for the ground node.
   [[nodiscard]] Index grounded_index(Index v) const;

@@ -109,6 +109,11 @@ class SolverContext {
   [[nodiscard]] const SolverContextStats& stats() const noexcept {
     return stats_;
   }
+  /// The solver the last acquire() returned; nullptr before the first
+  /// acquire and after invalidate().
+  [[nodiscard]] const LaplacianPinvSolver* solver() const noexcept {
+    return solver_.get();
+  }
 
   /// Warm-start subspace slot for the consumers' eigensolver: the exact
   /// embedding stores its converged eigenvector block here and seeds the

@@ -13,6 +13,7 @@
 
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "graph/generators.hpp"
 #include "measure/measurements.hpp"
 #include "serve/serve_engine.hpp"
@@ -293,6 +294,58 @@ TEST(ServeEngine, LruEvictsAndRefillsDeterministically) {
   EXPECT_EQ(stats.cache_misses, 4);
   EXPECT_EQ(stats.cache_evictions, 2);
   EXPECT_EQ(stats.cache_hits, 1);
+}
+
+/// `g` with each weight scaled by a seeded factor in [0.5, 1.5): a
+/// weight variant with the same endpoints.
+graph::Graph jittered(const graph::Graph& g, std::uint64_t seed) {
+  graph::Graph out = g;
+  Rng rng(seed);
+  for (Index e = 0; e < out.num_edges(); ++e)
+    out.set_weight(e, out.edges()[static_cast<std::size_t>(e)].weight *
+                          rng.uniform(0.5, 1.5));
+  return out;
+}
+
+TEST(ServeEngine, WeightVariantFillsShareTheSymbolicAnalysis) {
+  ServeOptions options;
+  options.cache_capacity = 2;
+  ServeEngine engine(options);
+  const graph::Graph base = grid(20, 20);
+  const Index n = base.num_nodes();
+  std::vector<graph::GraphKey> keys;
+  std::vector<graph::Graph> variants;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    variants.push_back(jittered(base, seed));
+    keys.push_back(engine.load_graph(variants.back()));
+  }
+  // Four graphs through two slots, twice: eight fills, of which only the
+  // first analyses the pattern. Every answer is the fresh solver's.
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      const solver::LaplacianPinvSolver fresh(variants[k], options.solver);
+      EXPECT_EQ(engine.effective_resistance(3, n - 5, keys[k]),
+                fresh.effective_resistance(3, n - 5));
+    }
+  }
+  ServeStats stats = engine.stats();
+  EXPECT_EQ(stats.cache_misses, 8);
+  EXPECT_EQ(stats.symbolic_reuses, 7);
+
+  // Same node and edge counts, other endpoints: never shares it.
+  graph::Graph rewired(n);
+  for (const graph::Edge& e : base.edges()) {
+    rewired.add_edge(e.s == 0 ? n - 1 : (e.s == n - 1 ? 0 : e.s),
+                     e.t == 0 ? n - 1 : (e.t == n - 1 ? 0 : e.t), e.weight);
+  }
+  ASSERT_EQ(rewired.num_edges(), base.num_edges());
+  const graph::GraphKey rewired_key = engine.load_graph(rewired);
+  ASSERT_NE(rewired_key.endpoints, keys[0].endpoints);
+  EXPECT_EQ(engine.effective_resistance(3, n - 5, rewired_key),
+            solver::LaplacianPinvSolver(rewired).effective_resistance(3, n - 5));
+  stats = engine.stats();
+  EXPECT_EQ(stats.cache_misses, 9);
+  EXPECT_EQ(stats.symbolic_reuses, 7);
 }
 
 TEST(ServeEngine, KeyPinnedQueriesBypassTheActiveGraph) {

@@ -133,6 +133,162 @@ TEST(ServeProtocol, IndexFieldsOutsideTheIndexRangeAreBadRequests) {
             "bad-request");
 }
 
+TEST(ServeProtocol, LoadGraphLinesKeepTheirResponseBytes) {
+  // load_graph reads its edge list flat rather than as a JsonValue tree
+  // (serve::TupleCapture). Well-formed and malformed lines alike must
+  // answer byte for byte as the tree-walking handler did: wrong arity,
+  // non-numeric or fractional endpoints, out-of-range endpoints,
+  // self-loops, zero or negative weights, truncated arrays, odd
+  // whitespace and duplicate members. The expected bytes were recorded
+  // from that handler. One engine serves the lines in order.
+  const struct {
+    const char* request;
+    const char* response;
+  } cases[] = {
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2,2.5]]})j",
+       R"j({"ok":true,"op":"load_graph","key":{"num_nodes":3,"num_edges":2,"endpoints":"17c961808ae1ea1","weights":"f2db913386ec6e7c"},"num_nodes":3,"num_edges":2})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0]]})j",
+       R"j({"ok":false,"op":"load_graph","error":{"code":"bad-request","message":"each edge must be [s, t] or [s, t, weight]"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1,1,1]]})j",
+       R"j({"ok":false,"op":"load_graph","error":{"code":"bad-request","message":"each edge must be [s, t] or [s, t, weight]"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[]]})j",
+       R"j({"ok":false,"op":"load_graph","error":{"code":"bad-request","message":"each edge must be [s, t] or [s, t, weight]"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[5]})j",
+       R"j({"ok":false,"op":"load_graph","error":{"code":"bad-request","message":"each edge must be [s, t] or [s, t, weight]"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,"1"]]})j",
+       R"j({"ok":false,"op":"load_graph","error":{"code":"bad-request","message":"field 'edge endpoint' must be a number"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[["a",1]]})j",
+       R"j({"ok":false,"op":"load_graph","error":{"code":"bad-request","message":"field 'edge endpoint' must be a number"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1.5]]})j",
+       R"j({"ok":false,"op":"load_graph","error":{"code":"bad-request","message":"field 'edge endpoint' must be an integer"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0.5,1]]})j",
+       R"j({"ok":false,"op":"load_graph","error":{"code":"bad-request","message":"field 'edge endpoint' must be an integer"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,3]]})j",
+       R"j({"ok":false,"op":"load_graph","error":{"code":"bad-request","message":"edge (0, 3) is out of range for 3 nodes"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[-1,2]]})j",
+       R"j({"ok":false,"op":"load_graph","error":{"code":"bad-request","message":"edge (-1, 2) is out of range for 3 nodes"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,1]]})j",
+       R"j({"ok":false,"op":"load_graph","error":{"code":"bad-request","message":"edge (1, 1) is out of range for 3 nodes"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1,0]]})j",
+       R"j({"ok":false,"op":"load_graph","error":{"code":"bad-request","message":"edge weights must be positive"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1,-2]]})j",
+       R"j({"ok":false,"op":"load_graph","error":{"code":"bad-request","message":"edge weights must be positive"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2])j",
+       R"j({"ok":false,"error":{"code":"parse-error","message":"json: unexpected end of input at offset 53"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2)j",
+       R"j({"ok":false,"error":{"code":"parse-error","message":"json: unexpected end of input at offset 52"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,)j",
+       R"j({"ok":false,"error":{"code":"parse-error","message":"json: unexpected end of input at offset 51"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2],]})j",
+       R"j({"ok":false,"error":{"code":"parse-error","message":"json: invalid number at offset 54"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1] [1,2]]})j",
+       R"j({"ok":false,"error":{"code":"parse-error","message":"json: expected ']' at offset 48"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1e400]]})j",
+       R"j({"ok":false,"error":{"code":"parse-error","message":"json: invalid number at offset 45"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,3000000000]]})j",
+       R"j({"ok":false,"op":"load_graph","error":{"code":"bad-request","message":"field 'edge endpoint' is out of range (3000000000)"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1e16]]})j",
+       R"j({"ok":false,"op":"load_graph","error":{"code":"bad-request","message":"field 'edge endpoint' must be an integer"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2,3]],"edges":[[0,2]]})j",
+       R"j({"ok":true,"op":"load_graph","key":{"num_nodes":3,"num_edges":2,"endpoints":"17c961808ae1ea1","weights":"f2b2c93386c9c890"},"num_nodes":3,"num_edges":2})j"},
+      {R"j({"edges":[[0,1],[1,2]],"num_nodes":3,"op":"load_graph","id":7})j",
+       R"j({"ok":true,"op":"load_graph","id":7,"key":{"num_nodes":3,"num_edges":2,"endpoints":"17c961808ae1ea1","weights":"f077e83384e4cf25"},"num_nodes":3,"num_edges":2})j"},
+      {R"j({"op":"load_graph","edges":[[0,1],[1,2]]})j",
+       R"j({"ok":false,"op":"load_graph","error":{"code":"bad-request","message":"missing field 'num_nodes'"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":{"a":1}})j",
+       R"j({"ok":false,"op":"load_graph","error":{"code":"bad-request","message":"field 'edges' must be an array"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3})j",
+       R"j({"ok":false,"op":"load_graph","error":{"code":"bad-request","message":"missing field 'edges'"}})j"},
+      {R"j({"op":"load_graph","num_nodes":0,"edges":[]})j",
+       R"j({"ok":false,"op":"load_graph","error":{"code":"bad-request","message":"'num_nodes' must be positive"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[]})j",
+       R"j({"ok":false,"op":"load_graph","error":{"code":"graph-not-connected","message":"load_graph: graph is not connected (L⁺ semantics need one component)"}})j"},
+      {R"j({"op":"load_graph","num_nodes":4,"edges":[[0,1],[2,3]]})j",
+       R"j({"ok":false,"op":"load_graph","error":{"code":"graph-not-connected","message":"load_graph: graph is not connected (L⁺ semantics need one component)"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[ [ 0 , 1 , 2 ] , [1,2] ]})j",
+       R"j({"ok":true,"op":"load_graph","key":{"num_nodes":3,"num_edges":2,"endpoints":"17c961808ae1ea1","weights":"aba3693428bb8e7c"},"num_nodes":3,"num_edges":2})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2,-0.0]]})j",
+       R"j({"ok":false,"op":"load_graph","error":{"code":"bad-request","message":"edge weights must be positive"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[-0,1],[1,2]]})j",
+       R"j({"ok":true,"op":"load_graph","key":{"num_nodes":3,"num_edges":2,"endpoints":"17c961808ae1ea1","weights":"f077e83384e4cf25"},"num_nodes":3,"num_edges":2})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2]],"id":"x"})j",
+       R"j({"ok":true,"op":"load_graph","id":"x","key":{"num_nodes":3,"num_edges":2,"endpoints":"17c961808ae1ea1","weights":"f077e83384e4cf25"},"num_nodes":3,"num_edges":2})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2]]} trailing)j",
+       R"j({"ok":false,"error":{"code":"parse-error","message":"json: trailing characters at offset 56"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[00,1],[1,2]]})j",
+       R"j({"ok":true,"op":"load_graph","key":{"num_nodes":3,"num_edges":2,"endpoints":"17c961808ae1ea1","weights":"f077e83384e4cf25"},"num_nodes":3,"num_edges":2})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[+0,1],[1,2]]})j",
+       R"j({"ok":false,"error":{"code":"parse-error","message":"json: invalid number at offset 43"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2,1e-400]]})j",
+       R"j({"ok":false,"error":{"code":"parse-error","message":"json: invalid number at offset 53"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],{"a":1}]})j",
+       R"j({"ok":false,"op":"load_graph","error":{"code":"bad-request","message":"each edge must be [s, t] or [s, t, weight]"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2,3,4]]})j",
+       R"j({"ok":false,"op":"load_graph","error":{"code":"bad-request","message":"each edge must be [s, t] or [s, t, weight]"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2,nan]]})j",
+       R"j({"ok":false,"error":{"code":"parse-error","message":"json: invalid literal at offset 53"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2,inf]]})j",
+       R"j({"ok":false,"error":{"code":"parse-error","message":"json: non-finite number at offset 53"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2,-inf]]})j",
+       R"j({"ok":false,"error":{"code":"parse-error","message":"json: non-finite number at offset 53"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":	[	[0,1]	,[1,2] ]	})j",
+       R"j({"ok":true,"op":"load_graph","key":{"num_nodes":3,"num_edges":2,"endpoints":"17c961808ae1ea1","weights":"f077e83384e4cf25"},"num_nodes":3,"num_edges":2})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2]],"x":{"edges":[[9,9]]}})j",
+       R"j({"ok":true,"op":"load_graph","key":{"num_nodes":3,"num_edges":2,"endpoints":"17c961808ae1ea1","weights":"f077e83384e4cf25"},"num_nodes":3,"num_edges":2})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2,5]]})j",
+       R"j({"ok":true,"op":"load_graph","key":{"num_nodes":3,"num_edges":2,"endpoints":"17c961808ae1ea1","weights":"f2a5b13386bf156c"},"num_nodes":3,"num_edges":2})j"},
+      {R"j([{"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2]]}])j",
+       R"j({"ok":false,"error":{"code":"bad-request","message":"request must be a JSON object"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2]])j",
+       R"j({"ok":false,"error":{"code":"parse-error","message":"json: unexpected end of input at offset 54"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2]],)j",
+       R"j({"ok":false,"error":{"code":"parse-error","message":"json: unexpected end of input at offset 55"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2]],"num_nodes":4})j",
+       R"j({"ok":true,"op":"load_graph","key":{"num_nodes":3,"num_edges":2,"endpoints":"17c961808ae1ea1","weights":"f077e83384e4cf25"},"num_nodes":3,"num_edges":2})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2],[1,2]]})j",
+       R"j({"ok":true,"op":"load_graph","key":{"num_nodes":3,"num_edges":3,"endpoints":"98929a8b00135ae2","weights":"c06269a12eb3f457"},"num_nodes":3,"num_edges":3})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2],[0,1,1e308]]})j",
+       R"j({"ok":true,"op":"load_graph","key":{"num_nodes":3,"num_edges":3,"endpoints":"8aa05b37f25a94c0","weights":"21b973e7e0cf827f"},"num_nodes":3,"num_edges":3})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2],[0,1,4.9e-324]]})j",
+       R"j({"ok":true,"op":"load_graph","key":{"num_nodes":3,"num_edges":3,"endpoints":"8aa05b37f25a94c0","weights":"1a875d8dbf1180e5"},"num_nodes":3,"num_edges":3})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2],[0,1,1E2]]})j",
+       R"j({"ok":true,"op":"load_graph","key":{"num_nodes":3,"num_edges":3,"endpoints":"8aa05b37f25a94c0","weights":"fcbacc84b522c345"},"num_nodes":3,"num_edges":3})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2],[0,1,.5]]})j",
+       R"j({"ok":true,"op":"load_graph","key":{"num_nodes":3,"num_edges":3,"endpoints":"8aa05b37f25a94c0","weights":"fdac7d84b5f072a9"},"num_nodes":3,"num_edges":3})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2],[0,1,5.]]})j",
+       R"j({"ok":true,"op":"load_graph","key":{"num_nodes":3,"num_edges":3,"endpoints":"8aa05b37f25a94c0","weights":"fbb59e84b4454970"},"num_nodes":3,"num_edges":3})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[2,1],[0,1,0x10]]})j",
+       R"j({"ok":false,"error":{"code":"parse-error","message":"json: expected ']' at offset 60"}})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[2,1],[0,1]]})j",
+       R"j({"ok":true,"op":"load_graph","key":{"num_nodes":3,"num_edges":3,"endpoints":"8aa05b37f25a94c0","weights":"fde27d84b61e0219"},"num_nodes":3,"num_edges":3})j"},
+      {R"j({"op":"load_graph","num_nodes":3,"edges":[[0,1],[2,1],[-0.0,1]]})j",
+       R"j({"ok":true,"op":"load_graph","key":{"num_nodes":3,"num_edges":3,"endpoints":"8aa05b37f25a94c0","weights":"fde27d84b61e0219"},"num_nodes":3,"num_edges":3})j"},
+  };
+  ServeEngine engine;
+  for (const auto& c : cases) {
+    EXPECT_EQ(handle_request(engine, c.request).response, c.response)
+        << c.request;
+  }
+}
+
+TEST(ServeProtocol, StatsReportSymbolicReuses) {
+  // A weight variant of a cached graph fills on the cached analysis.
+  ServeEngine engine;
+  for (const char* load :
+       {R"({"op":"load_graph","num_nodes":3,"edges":[[0,1],[1,2]]})",
+        R"({"op":"load_graph","num_nodes":3,"edges":[[0,1,2],[1,2]]})"}) {
+    ASSERT_EQ(error_code_of(handle_request(engine, load).response), "");
+    ASSERT_EQ(error_code_of(handle_request(
+                  engine, R"({"op":"resistance","s":0,"t":2})")
+                                .response),
+              "");
+  }
+  const JsonValue stats =
+      json_parse(handle_request(engine, R"({"op":"stats"})").response);
+  EXPECT_EQ(stats.find("cache_misses")->as_number(), 2);
+  EXPECT_EQ(stats.find("symbolic_reuses")->as_number(), 1);
+}
+
 TEST(ServeProtocol, SeedsBeyondTheIndexRangeStayDistinct) {
   // The seed is a 64-bit value, not a node index: two large seeds learn
   // from different measurements.

@@ -52,6 +52,18 @@ inline graph::Graph ultra_sparse_graph(Index nx, Index ny, Index extras,
   return g;
 }
 
+/// `g` with every edge weight multiplied by its own seeded factor in
+/// [0.5, 1.5): same endpoints, hence the same grounded pattern, and other
+/// values — a resistor-value variant of one netlist.
+inline graph::Graph jittered_weights(const graph::Graph& g, std::uint64_t seed) {
+  graph::Graph out = g;
+  Rng rng(seed);
+  for (Index e = 0; e < out.num_edges(); ++e)
+    out.set_weight(e, out.edges()[static_cast<std::size_t>(e)].weight *
+                          rng.uniform(0.5, 1.5));
+  return out;
+}
+
 /// Two k-cliques joined by a `bridge`-edge path: a bottleneck whose
 /// Fiedler value is tiny next to the clique spectra.
 inline graph::Graph barbell_graph(Index k, Index bridge) {

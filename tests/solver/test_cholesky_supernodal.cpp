@@ -152,14 +152,19 @@ TEST(CholeskySupernodal, PathGraphPanelsAreAllWidthOne) {
 TEST(CholeskySupernodal, RefactorizeMatchesScalarKernelBitwise) {
   const graph::Graph g = graph::make_grid2d(15, 14).graph;
   const la::CsrMatrix a = grounded_laplacian(g);
-  CholeskySolver scalar(a, OrderingMethod::kAuto, 1, FactorKernel::kScalar);
-  CholeskySolver panel(a, OrderingMethod::kAuto, 1, FactorKernel::kSupernodal);
+  const CholeskySolver original(a, OrderingMethod::kAuto, 1,
+                                FactorKernel::kScalar);
 
-  // Same pattern, new weights: numeric-only renumeration on both kernels.
+  // Same pattern, new weights: numeric-only factorization on the shared
+  // analysis, once per kernel.
   la::CsrMatrix a2 = a;
   a2.scale(2.0);
-  scalar.refactorize(a2, 4);
-  panel.refactorize(a2, 4);
+  const CholeskySolver scalar(a2, original.symbolic(), 4,
+                              FactorKernel::kScalar);
+  const CholeskySolver panel(a2, original.symbolic(), 4,
+                             FactorKernel::kSupernodal);
+  EXPECT_EQ(scalar.factor_values(), panel.factor_values());
+  EXPECT_EQ(scalar.diagonal(), panel.diagonal());
   const la::Vector b = random_rhs(a.rows(), 17);
   const la::Vector xs = scalar.solve(b);
   const la::Vector xp = panel.solve(b);
@@ -167,9 +172,9 @@ TEST(CholeskySupernodal, RefactorizeMatchesScalarKernelBitwise) {
 }
 
 TEST(CholeskySupernodal, RefactorizeMatchesFreshBitwise) {
-  // Weight-only changes keep the pattern, so the kept symbolic analysis
-  // plus a numeric renumeration must reproduce a fresh factorization of
-  // the new matrix BITWISE (same ordering decision, same level schedule).
+  // Weight-only changes keep the pattern, so a numeric phase on the
+  // shared symbolic analysis must reproduce a fresh factorization of the
+  // new matrix BITWISE (same ordering decision, same level schedule).
   const graph::Graph g = graph::make_grid2d(9, 11).graph;
   const la::CsrMatrix a = grounded_laplacian(g);
   graph::Graph scaled_g = g;
@@ -179,10 +184,13 @@ TEST(CholeskySupernodal, RefactorizeMatchesFreshBitwise) {
   for (const OrderingMethod ordering :
        {OrderingMethod::kRcm, OrderingMethod::kMinimumDegree,
         OrderingMethod::kNestedDissection}) {
-    CholeskySolver solver(a, ordering);
-    solver.refactorize(scaled);
+    const CholeskySolver original(a, ordering);
+    const CholeskySolver solver(scaled, original.symbolic());
+    EXPECT_EQ(solver.symbolic(), original.symbolic());
 
     const CholeskySolver fresh(scaled, ordering);
+    EXPECT_EQ(solver.factor_values(), fresh.factor_values());
+    EXPECT_EQ(solver.diagonal(), fresh.diagonal());
     const la::Vector b = random_rhs(a.rows(), 17);
     const la::Vector x_re = solver.solve(b);
     const la::Vector x_fresh = fresh.solve(b);
@@ -192,11 +200,23 @@ TEST(CholeskySupernodal, RefactorizeMatchesFreshBitwise) {
 
 TEST(CholeskySupernodal, RefactorizeRejectsPatternGrowth) {
   const graph::Graph path = graph::make_path(32);
-  CholeskySolver solver(grounded_laplacian(path), OrderingMethod::kNatural);
+  const CholeskySolver solver(grounded_laplacian(path),
+                              OrderingMethod::kNatural);
   // Grounded entry (0, 30) is far outside the bidiagonal pattern.
   graph::Graph grown = path;
   grown.add_edge(1, 31, 1.0);
-  EXPECT_THROW(solver.refactorize(grounded_laplacian(grown)),
+  EXPECT_FALSE(solver.symbolic()->matches(grounded_laplacian(grown)));
+  EXPECT_THROW(CholeskySolver(grounded_laplacian(grown), solver.symbolic()),
+               ContractViolation);
+
+  // Same node and edge count, other endpoints: a pattern the analysis
+  // does not cover either, so it is refused rather than reused.
+  graph::Graph rewired(32);
+  for (Index i = 0; i + 2 < 32; ++i) rewired.add_edge(i, i + 1, 1.0);
+  rewired.add_edge(0, 31, 1.0);
+  ASSERT_EQ(rewired.num_edges(), path.num_edges());
+  EXPECT_FALSE(solver.symbolic()->matches(grounded_laplacian(rewired)));
+  EXPECT_THROW(CholeskySolver(grounded_laplacian(rewired), solver.symbolic()),
                ContractViolation);
 }
 
@@ -245,10 +265,12 @@ TEST_P(CholeskyRefactorizeSweep, RefactorizeMatchesFreshFactorization) {
     const la::CsrMatrix a2 = reweighted(a);
     ASSERT_NE(a2.values(), a.values());
 
-    CholeskySolver solver(a, GetParam());
-    solver.refactorize(a2, 4);
+    const CholeskySolver original(a, GetParam());
+    const CholeskySolver solver(a2, original.symbolic(), 4);
     const CholeskySolver fresh(a2, GetParam(), 1);
     EXPECT_EQ(solver.stats().factor_nnz, fresh.stats().factor_nnz);
+    EXPECT_EQ(solver.factor_values(), fresh.factor_values());
+    EXPECT_EQ(solver.diagonal(), fresh.diagonal());
 
     const la::Vector b = random_rhs(a.rows(), 31);
     const la::Vector x_re = solver.solve(b);
@@ -262,21 +284,22 @@ TEST_P(CholeskyRefactorizeSweep, RefactorizeMatchesFreshFactorization) {
 }
 
 TEST_P(CholeskyRefactorizeSweep, RefactorizeRoundTripRestoresFactorBitwise) {
-  // Refactorizing to new values and back must leave no numeric state of
-  // the intermediate factor behind (fill entries included): scalar and
-  // block solves equal those of the original factor bit for bit.
+  // Factoring new values and then the original ones again on the shared
+  // analysis must carry no numeric state of the intermediate factor
+  // (fill entries included): scalar and block solves equal those of the
+  // original factor bit for bit.
   for (const MatrixFamily family :
        {MatrixFamily::kMesh, MatrixFamily::kPath, MatrixFamily::kRandomSpd}) {
     SCOPED_TRACE(static_cast<int>(family));
     const la::CsrMatrix a = make_matrix(family);
-    CholeskySolver solver(a, GetParam());
+    const CholeskySolver original(a, GetParam());
     const la::Vector b = random_rhs(a.rows(), 43);
     const la::MultiVector rhs = random_block_rhs(a.rows(), 3, 44);
-    const la::Vector x_before = solver.solve(b);
-    const la::MultiVector xb_before = solver.solve_block(rhs, 1);
+    const la::Vector x_before = original.solve(b);
+    const la::MultiVector xb_before = original.solve_block(rhs, 1);
 
-    solver.refactorize(reweighted(a));
-    solver.refactorize(a);
+    const CholeskySolver other(reweighted(a), original.symbolic());
+    const CholeskySolver solver(a, other.symbolic());
 
     const la::Vector x_after = solver.solve(b);
     for (std::size_t i = 0; i < b.size(); ++i)

@@ -3,16 +3,87 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "core/sgl.hpp"
 #include "graph/generators.hpp"
+#include "measure/measurements.hpp"
 #include "solver/laplacian_solver.hpp"
 #include "solver_test_utils.hpp"
 
 namespace sgl::solver {
 namespace {
+
+// The historical grounded assembly: per edge (s,s,w), (t,t,w), (s,t,−w),
+// (t,s,−w) on the reduced indices, minus every stamp on the ground's row
+// or column, through from_triplets. grounded_laplacian fills the CSR rows
+// directly and must give the same matrix bit for bit.
+la::CsrMatrix grounded_from_triplets(const graph::Graph& g, Index ground) {
+  std::vector<la::Triplet> triplets;
+  const auto reduced = [ground](Index v) { return v > ground ? v - 1 : v; };
+  for (const graph::Edge& e : g.edges()) {
+    const bool s_live = e.s != ground;
+    const bool t_live = e.t != ground;
+    if (s_live) triplets.push_back({reduced(e.s), reduced(e.s), e.weight});
+    if (t_live) triplets.push_back({reduced(e.t), reduced(e.t), e.weight});
+    if (s_live && t_live) {
+      triplets.push_back({reduced(e.s), reduced(e.t), -e.weight});
+      triplets.push_back({reduced(e.t), reduced(e.s), -e.weight});
+    }
+  }
+  const Index n = g.num_nodes() - 1;
+  return la::CsrMatrix::from_triplets(n, n, triplets);
+}
+
+TEST(GroundedLaplacian, MatchesTripletAssemblyOnEveryGenerator) {
+  Rng rng(17);
+  graph::TriMeshOptions mesh;
+  std::vector<graph::Graph> graphs = {
+      graph::make_path(50),
+      graph::make_cycle(41),
+      graph::make_star(2001),
+      graph::make_complete(60),
+      graph::make_grid2d(30, 30).graph,
+      graph::make_grid2d(16, 16, true).graph,
+      graph::make_grid3d(8, 8, 8),
+      graph::make_erdos_renyi(200, 0.05, rng),
+      graph::make_random_geometric(300, 0.1, rng).graph,
+      graph::make_triangulated_mesh(mesh).graph,
+      graph::make_airfoil_surrogate().graph,
+      graph::make_crack_surrogate().graph,
+      graph::make_fe4elt2_surrogate().graph,
+      graph::make_g2_circuit_surrogate().graph,
+      graph::make_circuit_grid(40, 40, 2500, 0.1, 10.0, 3).graph,
+      ultra_sparse_graph(40, 40, 80, 9),
+  };
+  // Parallel edges sum in the assembly; a hub of degree ≥ 8 takes the
+  // introsort path of from_triplets' per-row sort.
+  graph::Graph parallel(12);
+  for (Index k = 0; k < 14; ++k) parallel.add_edge(0, 1 + k % 11, 1.0);
+  graphs.push_back(parallel);
+  for (const graph::Graph& base : graphs) {
+    SCOPED_TRACE(base.num_nodes());
+    // Non-integer weights, so a different summation order would show.
+    const graph::Graph g = jittered_weights(base, 23);
+    const Index n = g.num_nodes();
+    for (const Index ground : {Index{0}, n / 2, n - 1}) {
+      const la::CsrMatrix got = grounded_laplacian(g, ground);
+      const la::CsrMatrix want = grounded_from_triplets(g, ground);
+      ASSERT_EQ(got.rows(), want.rows());
+      ASSERT_EQ(got.row_ptr(), want.row_ptr());
+      ASSERT_EQ(got.col_idx(), want.col_idx());
+      ASSERT_EQ(got.values().size(), want.values().size());
+      EXPECT_EQ(std::memcmp(got.values().data(), want.values().data(),
+                            got.values().size() * sizeof(Real)),
+                0)
+          << "ground " << ground;
+    }
+  }
+}
 
 TEST(LaplacianSolver, ApplyInvertsOnCenteredVectors) {
   const graph::Graph g = graph::make_grid2d(6, 7).graph;
@@ -412,6 +483,89 @@ TEST(LaplacianSolver, FactorStatsExposedForCholesky) {
   EXPECT_GT(stats->num_supernodes, 0);
   EXPECT_GT(stats->num_levels, 0);
   EXPECT_GE(stats->factor_seconds, 0.0);
+}
+
+/// Factor values, D, an apply_block and resistances of `shared` equal
+/// those of `fresh` bit for bit.
+void expect_same_factor(const LaplacianPinvSolver& shared,
+                        const LaplacianPinvSolver& fresh, Index threads) {
+  ASSERT_NE(shared.cholesky_factor(), nullptr);
+  ASSERT_NE(fresh.cholesky_factor(), nullptr);
+  EXPECT_EQ(shared.cholesky_factor()->factor_values(),
+            fresh.cholesky_factor()->factor_values());
+  EXPECT_EQ(shared.cholesky_factor()->diagonal(),
+            fresh.cholesky_factor()->diagonal());
+  const Index n = fresh.num_nodes();
+  const la::MultiVector y = random_block_rhs(n, 5, 91);
+  la::MultiVector xs(n, 5);
+  la::MultiVector xf(n, 5);
+  shared.apply_block(y.view(), xs.view(), threads);
+  fresh.apply_block(y.view(), xf.view(), threads);
+  for (Index j = 0; j < 5; ++j) {
+    const auto cs = xs.col(j);
+    const auto cf = xf.col(j);
+    for (Index i = 0; i < n; ++i) ASSERT_EQ(cs[i], cf[i]);
+  }
+  for (Index s = 0; s < n; s += n / 7 + 1) {
+    const Index t = (s * 31 + n / 2) % n;
+    if (s == t) continue;
+    EXPECT_EQ(shared.effective_resistance(s, t),
+              fresh.effective_resistance(s, t));
+  }
+}
+
+TEST(LaplacianSolver, SharedSymbolicFactorEqualsFreshBitwise) {
+  // A graph of the 128² grid's pattern and a learned near-tree: a
+  // solver built on another same-pattern solver's analysis runs the
+  // numeric phase only, and its factor is bitwise the fresh one.
+  std::vector<graph::Graph> bases = {graph::make_grid2d(128, 128).graph};
+  {
+    const graph::Graph truth = graph::make_grid2d(24, 24).graph;
+    measure::MeasurementOptions mopt;
+    mopt.num_measurements = 40;
+    const measure::Measurements data =
+        measure::generate_measurements(truth, mopt);
+    bases.push_back(core::learn_graph(data.voltages, data.currents).learned);
+  }
+  for (const graph::Graph& base : bases) {
+    SCOPED_TRACE(base.num_nodes());
+    const LaplacianPinvSolver first(base);
+    for (const Index threads : {Index{1}, Index{4}}) {
+      LaplacianSolverOptions options;
+      options.num_threads = threads;
+      for (const std::uint64_t seed : {3U, 4U}) {
+        const graph::Graph variant = jittered_weights(base, seed);
+        const LaplacianPinvSolver shared(variant, options,
+                                         first.cholesky_symbolic());
+        EXPECT_EQ(shared.cholesky_symbolic(), first.cholesky_symbolic());
+        const LaplacianPinvSolver fresh(variant, options);
+        EXPECT_NE(fresh.cholesky_symbolic(), first.cholesky_symbolic());
+        expect_same_factor(shared, fresh, threads);
+      }
+    }
+  }
+}
+
+TEST(LaplacianSolver, SymbolicOfOtherPatternIsNotShared) {
+  // Same node and edge counts, other endpoints: the analysis does not
+  // cover the pattern, so the solver analyses its own.
+  const graph::Graph path = graph::make_path(40);
+  graph::Graph rewired(40);
+  for (Index i = 0; i + 2 < 40; ++i) rewired.add_edge(i, i + 1, 1.0);
+  rewired.add_edge(5, 39, 1.0);
+  ASSERT_EQ(rewired.num_edges(), path.num_edges());
+  const LaplacianPinvSolver first(path);
+  const LaplacianPinvSolver other(rewired, {}, first.cholesky_symbolic());
+  EXPECT_NE(other.cholesky_symbolic(), first.cholesky_symbolic());
+  expect_same_factor(other, LaplacianPinvSolver(rewired), 1);
+
+  // An analysis made with another ordering heuristic is not shared
+  // either: the fresh solver would order differently.
+  LaplacianSolverOptions natural;
+  natural.ordering = OrderingMethod::kNatural;
+  const LaplacianPinvSolver variant(jittered_weights(path, 5), natural,
+                                    first.cholesky_symbolic());
+  EXPECT_NE(variant.cholesky_symbolic(), first.cholesky_symbolic());
 }
 
 TEST(LaplacianSolver, FactorStatsNullForPcgMethods) {

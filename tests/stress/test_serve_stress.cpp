@@ -13,11 +13,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "graph/generators.hpp"
 #include "serve/serve_engine.hpp"
 #include "solver/laplacian_solver.hpp"
@@ -203,6 +205,79 @@ TEST(ServeStress, LruEvictionAndRefillUnderConcurrency) {
   EXPECT_EQ(stats.errors, 0);
   EXPECT_GE(stats.cache_evictions, 1);  // 3 graphs through 2 slots
   EXPECT_EQ(stats.cache_misses, stats.cache_evictions + 2);
+}
+
+TEST(ServeStress, WeightVariantsShareOneSymbolicAnalysis) {
+  // Six weight-jittered variants of the 128² grid through a 2-entry LRU
+  // from 4 threads: every fill but the first runs the numeric phase only
+  // on the one live analysis, and every answer is bitwise a fresh
+  // engine's.
+  const graph::Graph truth = grid(128, 128);
+  const Index n = truth.num_nodes();
+  constexpr int kVariants = 6;
+  std::vector<graph::Graph> variants;
+  for (int k = 0; k < kVariants; ++k) {
+    graph::Graph v = truth;
+    Rng rng(static_cast<std::uint64_t>(100 + k));
+    for (Index e = 0; e < v.num_edges(); ++e)
+      v.set_weight(e, rng.uniform(0.5, 1.5));
+    variants.push_back(std::move(v));
+  }
+  const auto pair_of = [n](Index i) {
+    return std::pair<Index, Index>{(i * 997) % n, (i * 3571 + n / 2) % n};
+  };
+  constexpr Index kQueries = 48;
+  std::vector<Real> expected(static_cast<std::size_t>(kQueries));
+  for (int k = 0; k < kVariants; ++k) {
+    ServeEngine fresh;
+    (void)fresh.load_graph(variants[static_cast<std::size_t>(k)]);
+    for (Index i = k; i < kQueries; i += kVariants) {
+      const auto [s, t] = pair_of(i);
+      expected[static_cast<std::size_t>(i)] = fresh.effective_resistance(s, t);
+    }
+  }
+
+  ServeOptions options;
+  options.cache_capacity = 2;
+  ServeEngine engine(options);
+  std::vector<graph::GraphKey> keys;
+  for (const graph::Graph& v : variants) keys.push_back(engine.load_graph(v));
+  // Client threads, as the daemon runs one per connection: a fill
+  // waiting for the pattern's analysis must not sit on a pool worker the
+  // analysing fill's numeric phase needs.
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (Index c = 0; c < 4; ++c) {
+    clients.emplace_back([&, c] {
+      for (Index i = c; i < kQueries; i += 4) {
+        const auto [s, t] = pair_of(i);
+        const Real r = engine.effective_resistance(
+            s, t, keys[static_cast<std::size_t>(i % kVariants)]);
+        if (r != expected[static_cast<std::size_t>(i)]) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  ServeStats stats = engine.stats();
+  EXPECT_EQ(stats.errors, 0);
+  EXPECT_GE(stats.cache_misses, kVariants);
+  EXPECT_EQ(stats.cache_misses - stats.symbolic_reuses, 1)
+      << "the pattern was analysed more than once";
+
+  // Evict every variant with two graphs of other patterns: no cached
+  // solver holds the analysis any more, so it is gone, and the next
+  // variant fill analyses the pattern again.
+  for (const Index side : {Index{30}, Index{31}}) {
+    (void)engine.effective_resistance(0, 5, engine.load_graph(grid(side, 30)));
+  }
+  const Index reuses = engine.stats().symbolic_reuses;
+  EXPECT_EQ(engine.effective_resistance(pair_of(0).first, pair_of(0).second,
+                                        keys[0]),
+            expected[0]);
+  stats = engine.stats();
+  EXPECT_EQ(stats.symbolic_reuses, reuses);
+  EXPECT_EQ(stats.cache_misses - stats.symbolic_reuses, 4);
 }
 
 TEST(ServeStress, CacheFillDoesNotBlockHitsOnOtherGraphs) {

@@ -209,10 +209,6 @@ int main(int argc, char** argv) {
     config.embedding.solver.method = *method;
     config.embedding.solver.ordering = *ordering;
     config.incremental = *incremental;
-    // The learner inherits this internally, but the --verbose stats
-    // factorization below uses config.embedding.solver directly, so wire
-    // the thread knob here too.
-    config.embedding.solver.num_threads = config.num_threads;
     if (!args.has("quiet")) {
       config.observer = [](Index it, Real smax, Index added) {
         std::printf("  iter %3d  smax %.3e  +%d edges\n", it, smax, added);
@@ -255,41 +251,33 @@ int main(int argc, char** argv) {
             solver::incremental_mode_name(ctx.mode()), cs.acquisitions,
             cs.rebuilds, cs.pattern_misses, cs.ordering_reuses);
       }
-      // Surface the solver the learned graph's Laplacian resolves to,
-      // plus the factorization statistics of the refactored backbone.
-      const solver::LaplacianPinvSolver pinv(result.learned,
-                                             config.embedding.solver);
-      std::printf("solver: %s (requested %s, ordering %s)\n",
-                  solver::laplacian_method_name(pinv.method()),
-                  solver::laplacian_method_name(*method),
-                  solver::ordering_method_name(*ordering));
-      if (const solver::FactorStats* fs = pinv.factor_stats()) {
-        std::printf(
-            "factor: n=%d nnz=%d supernodes=%d levels=%d "
-            "(widest level %d) in %.4fs\n",
-            fs->n, fs->factor_nnz, fs->num_supernodes, fs->num_levels,
-            fs->max_level_supernodes, fs->factor_seconds);
+      // The solver the run itself built last (its SolverContext's), not
+      // a new factorization: the solver-free engine builds none.
+      const solver::LaplacianPinvSolver* pinv =
+          learner.solver_context().solver();
+      if (pinv == nullptr) {
+        std::printf("solver: none (solver-free)\n");
       } else {
-        // Iterative path: drive one two-column probe block through the
-        // block-PCG solve so the per-block iteration stats are populated.
-        // Purely diagnostic — a stalled probe must not fail the run.
-        try {
-          const Index n = result.learned.num_nodes();
-          la::DenseMatrix probe(n, 2);
-          probe(0, 0) = 1.0;
-          probe(n - 1, 0) = -1.0;
-          probe(0, 1) = 1.0;
-          probe(n / 2, 1) = -1.0;
-          (void)pinv.apply_block(probe, 1);
-        } catch (const NumericalError& e) {
-          std::printf("pcg: probe solve stalled (%s)\n", e.what());
+        std::printf("solver: %s (requested %s, ordering %s), last built for "
+                    "%d nodes\n",
+                    solver::laplacian_method_name(pinv->method()),
+                    solver::laplacian_method_name(*method),
+                    solver::ordering_method_name(*ordering),
+                    pinv->num_nodes());
+        if (const solver::FactorStats* fs = pinv->factor_stats()) {
+          std::printf(
+              "factor: n=%d nnz=%d supernodes=%d levels=%d "
+              "(widest level %d) in %.4fs\n",
+              fs->n, fs->factor_nnz, fs->num_supernodes, fs->num_levels,
+              fs->max_level_supernodes, fs->factor_seconds);
+        } else {
+          const solver::PcgBlockStats ps = pinv->pcg_block_stats();
+          std::printf(
+              "pcg: last block of %d columns, iterations max=%d total=%d, "
+              "converged %d/%d\n",
+              ps.columns, ps.max_iterations, ps.total_iterations,
+              ps.converged_columns, ps.columns);
         }
-        const solver::PcgBlockStats ps = pinv.pcg_block_stats();
-        std::printf(
-            "pcg: probe block of %d columns, iterations max=%d total=%d, "
-            "converged %d/%d\n",
-            ps.columns, ps.max_iterations, ps.total_iterations,
-            ps.converged_columns, ps.columns);
       }
     }
 
