@@ -349,7 +349,7 @@ void serialize_value(const JsonValue& v, std::string& out) {
 
 const JsonValue* JsonValue::find(std::string_view key) const {
   if (!is_object()) return nullptr;
-  for (const Member& m : object_) {
+  for (const Member& m : as_object()) {
     if (m.first == key) return &m.second;
   }
   return nullptr;
@@ -357,20 +357,21 @@ const JsonValue* JsonValue::find(std::string_view key) const {
 
 void JsonValue::set(std::string key, JsonValue value) {
   SGL_EXPECTS(is_object() || is_null(), "JsonValue::set: not an object");
-  type_ = Type::kObject;
-  for (Member& m : object_) {
+  if (is_null()) value_.emplace<Object>();
+  Object& object = as_object();
+  for (Member& m : object) {
     if (m.first == key) {
       m.second = std::move(value);
       return;
     }
   }
-  object_.emplace_back(std::move(key), std::move(value));
+  object.emplace_back(std::move(key), std::move(value));
 }
 
 void JsonValue::push_back(JsonValue value) {
   SGL_EXPECTS(is_array() || is_null(), "JsonValue::push_back: not an array");
-  type_ = Type::kArray;
-  array_.push_back(std::move(value));
+  if (is_null()) value_.emplace<Array>();
+  std::get_if<Array>(&value_)->push_back(std::move(value));
 }
 
 JsonValue json_parse(std::string_view text) {

@@ -14,6 +14,7 @@
 #include <string_view>
 #include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -32,57 +33,56 @@ class JsonValue {
   using Object = std::vector<Member>;
 
   JsonValue() = default;
-  // NOLINTBEGIN(google-explicit-constructor): value types convert freely,
-  // mirroring JSON's untyped literals.
-  JsonValue(bool b) : type_(Type::kBool), bool_(b) {}
+  // NOLINTBEGIN(google-explicit-constructor): JSON literals convert freely.
+  JsonValue(bool b) : value_(std::in_place_index<1>, b) {}
   /// Any arithmetic type (Index, std::size_t, Real, …) is a number.
   template <typename T,
             std::enable_if_t<std::is_arithmetic_v<T> && !std::is_same_v<T, bool>,
                              int> = 0>
-  JsonValue(T v) : type_(Type::kNumber), number_(static_cast<double>(v)) {}
-  JsonValue(const char* s) : type_(Type::kString), string_(s) {}
-  JsonValue(std::string s) : type_(Type::kString), string_(std::move(s)) {}
-  JsonValue(Array a) : type_(Type::kArray), array_(std::move(a)) {}
-  JsonValue(Object o) : type_(Type::kObject), object_(std::move(o)) {}
+  JsonValue(T v) : value_(std::in_place_index<2>, static_cast<double>(v)) {}
+  JsonValue(const char* s) : value_(std::in_place_index<3>, s) {}
+  JsonValue(std::string s) : value_(std::in_place_index<3>, std::move(s)) {}
+  JsonValue(Array a) : value_(std::in_place_index<4>, std::move(a)) {}
+  JsonValue(Object o) : value_(std::in_place_index<5>, std::move(o)) {}
   // NOLINTEND(google-explicit-constructor)
 
-  [[nodiscard]] Type type() const noexcept { return type_; }
-  [[nodiscard]] bool is_null() const noexcept { return type_ == Type::kNull; }
-  [[nodiscard]] bool is_bool() const noexcept { return type_ == Type::kBool; }
+  [[nodiscard]] Type type() const noexcept { return Type(value_.index()); }
+  [[nodiscard]] bool is_null() const noexcept { return type() == Type::kNull; }
+  [[nodiscard]] bool is_bool() const noexcept { return type() == Type::kBool; }
   [[nodiscard]] bool is_number() const noexcept {
-    return type_ == Type::kNumber;
+    return type() == Type::kNumber;
   }
   [[nodiscard]] bool is_string() const noexcept {
-    return type_ == Type::kString;
+    return type() == Type::kString;
   }
-  [[nodiscard]] bool is_array() const noexcept { return type_ == Type::kArray; }
+  [[nodiscard]] bool is_array() const noexcept { return type() == Type::kArray; }
   [[nodiscard]] bool is_object() const noexcept {
-    return type_ == Type::kObject;
+    return type() == Type::kObject;
   }
 
   [[nodiscard]] bool as_bool() const {
     SGL_EXPECTS(is_bool(), "JsonValue: not a bool");
-    return bool_;
+    return *std::get_if<bool>(&value_);
   }
   [[nodiscard]] double as_number() const {
     SGL_EXPECTS(is_number(), "JsonValue: not a number");
-    return number_;
+    return *std::get_if<double>(&value_);
   }
   [[nodiscard]] const std::string& as_string() const {
     SGL_EXPECTS(is_string(), "JsonValue: not a string");
-    return string_;
+    return *std::get_if<std::string>(&value_);
   }
   [[nodiscard]] const Array& as_array() const {
     SGL_EXPECTS(is_array(), "JsonValue: not an array");
-    return array_;
+    return *std::get_if<Array>(&value_);
   }
   [[nodiscard]] const Object& as_object() const {
     SGL_EXPECTS(is_object(), "JsonValue: not an object");
-    return object_;
+    return *std::get_if<Object>(&value_);
   }
   [[nodiscard]] Object& as_object() {
     SGL_EXPECTS(is_object(), "JsonValue: not an object");
-    return object_;
+    return *std::get_if<Object>(&value_);
   }
 
   /// Member lookup on an object; nullptr when absent (or not an object).
@@ -95,12 +95,9 @@ class JsonValue {
   void push_back(JsonValue value);
 
  private:
-  Type type_ = Type::kNull;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  Array array_;
-  Object object_;
+  // One alternative per Type, in Type order, so type() is the index.
+  std::variant<std::monostate, bool, double, std::string, Array, Object>
+      value_;
 };
 
 /// Parses one JSON document (the whole string must be consumed, modulo
