@@ -127,19 +127,12 @@ class CholeskySymbolic {
   /// row pointers and column indices. Values are not looked at.
   [[nodiscard]] bool matches(const la::CsrMatrix& a) const;
 
-  [[nodiscard]] Index size() const noexcept { return n_; }
   /// The heuristic the permutation came from; empty for an explicit
   /// permutation. A heuristic orders from the pattern alone, so two equal
   /// patterns analysed with one heuristic yield the same symbolic.
   [[nodiscard]] const std::optional<OrderingMethod>& ordering() const noexcept {
     return ordering_;
   }
-  /// `perm[new] = old`.
-  [[nodiscard]] const std::vector<Index>& permutation() const noexcept {
-    return perm_;
-  }
-  /// The pattern fields of FactorStats (factor_seconds stays 0).
-  [[nodiscard]] const FactorStats& stats() const noexcept { return stats_; }
 
  private:
   friend class CholeskySolver;
