@@ -2,6 +2,9 @@
 // scalability ablation (the paper leans on HNSW [8] for large N).
 #include <benchmark/benchmark.h>
 
+#include <set>
+#include <utility>
+
 #include "sgl.hpp"
 
 namespace {
@@ -99,6 +102,42 @@ void BM_KnnGraphBuild(benchmark::State& state) {
 BENCHMARK(BM_KnnGraphBuild)
     ->Arg(1024)
     ->Arg(4096)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_KnnGraphBuildGridMeasurements(benchmark::State& state) {
+  // Step 1 on the end-to-end benchmark's input: M = 100 voltage
+  // measurements of the 128² grid (N = 16384, so kAuto takes the HNSW
+  // path). Mesh measurements are inserted in node order, so consecutive
+  // points are spatial neighbors — the input that random points miss.
+  // `missing_edges` counts the exact scan's kNN edges the graph lacks;
+  // the scan runs once, outside the timed loop.
+  static const la::DenseMatrix x = [] {
+    measure::MeasurementOptions options;
+    options.num_measurements = 100;
+    options.seed = 1;
+    return measure::generate_measurements(graph::make_grid2d(128, 128).graph,
+                                          options)
+        .voltages;
+  }();
+  static const graph::Graph exact = [] {
+    knn::KnnGraphOptions options;
+    options.backend = knn::KnnBackend::kBruteForce;
+    return knn::build_knn_graph(x, options);
+  }();
+  graph::Graph g;
+  for (auto _ : state) {
+    g = knn::build_knn_graph(x, {});
+    benchmark::DoNotOptimize(g.num_edges());
+  }
+  std::set<std::pair<Index, Index>> found;
+  for (const graph::Edge& e : g.edges()) found.insert({e.s, e.t});
+  Index missing = 0;
+  for (const graph::Edge& e : exact.edges())
+    missing += found.count({e.s, e.t}) == 0 ? 1 : 0;
+  state.counters["missing_edges"] = static_cast<double>(missing);
+}
+BENCHMARK(BM_KnnGraphBuildGridMeasurements)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_BruteForceKnnThreaded(benchmark::State& state) {

@@ -1,5 +1,6 @@
 #include "common/parallel.hpp"
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
@@ -64,7 +65,7 @@ class ThreadPool {
     {
       const MutexLock lock(mutex_);
       for (Index s = 1; s < slots; ++s) {
-        queue_.emplace_back([&sync, &job, &record_error, s] {
+        queue_.push_back({&sync, [&sync, &job, &record_error, s] {
           try {
             job(s);
           } catch (...) {
@@ -76,7 +77,7 @@ class ThreadPool {
           const MutexLock lock(sync.mutex);
           --sync.remaining;
           sync.done.notify_one();
-        });
+        }});
       }
     }
     wake_.notify_all();
@@ -85,6 +86,26 @@ class ThreadPool {
       job(0);
     } catch (...) {
       record_error();
+    }
+
+    // Take back this region's tasks that no worker has started and run
+    // them here, so the region never waits on a worker that may itself be
+    // blocked — e.g. every worker waiting for something this very caller
+    // is computing. parallel_for_slots' chunks are drained by now, so the
+    // taken-back slots return at once; chunking and slot ids are
+    // unchanged, so results are too.
+    for (;;) {
+      std::function<void()> task;
+      {
+        const MutexLock lock(mutex_);
+        const auto it =
+            std::find_if(queue_.begin(), queue_.end(),
+                         [&sync](const Task& t) { return t.region == &sync; });
+        if (it == queue_.end()) break;
+        task = std::move(it->run);
+        queue_.erase(it);
+      }
+      task();
     }
 
     const MutexLock lock(sync.mutex);
@@ -125,16 +146,23 @@ class ThreadPool {
         const MutexLock lock(mutex_);
         while (!stop_ && queue_.empty()) wake_.wait(mutex_);
         if (queue_.empty()) return;  // stop_ and drained
-        task = std::move(queue_.front());
+        task = std::move(queue_.front().run);
         queue_.pop_front();
       }
       task();
     }
   }
 
+  /// One queued slot task, tagged with its region so the region's
+  /// caller can take it back.
+  struct Task {
+    const void* region;
+    std::function<void()> run;
+  };
+
   Mutex mutex_;
   std::condition_variable_any wake_;
-  std::deque<std::function<void()>> queue_ SGL_GUARDED_BY(mutex_);
+  std::deque<Task> queue_ SGL_GUARDED_BY(mutex_);
   std::vector<std::thread> workers_ SGL_GUARDED_BY(mutex_);
   bool stop_ SGL_GUARDED_BY(mutex_) = false;
 };

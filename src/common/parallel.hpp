@@ -20,7 +20,10 @@
 // Passing 1 (or SGL_NUM_THREADS=1) runs everything on the calling thread;
 // no pool threads are ever touched in that case. Nested parallel regions
 // degrade to serial execution on the calling worker instead of
-// deadlocking the pool.
+// deadlocking the pool, and a region's caller runs any of its slots that
+// no worker has picked up by the time its own slot is done, so a region
+// completes even when every worker is blocked (say, waiting for a result
+// the caller is computing).
 //
 // Exceptions thrown by worker bodies are captured and the first one is
 // rethrown on the calling thread after the region completes.
@@ -57,9 +60,12 @@ inline constexpr Index kMaxThreads = 64;
 namespace detail {
 
 /// Runs job(slot) for every slot in [0, slots): slot 0 on the calling
-/// thread, the rest on pool workers. Blocks until all slots finish;
-/// rethrows the first exception. Falls back to a serial loop when called
-/// from inside a pool worker (nested region) or when slots <= 1.
+/// thread, the rest on pool workers — except slots no worker has started
+/// by the time slot 0 returns, which the caller takes back and runs
+/// itself, so a region never waits on a busy or blocked pool. Blocks
+/// until all slots finish; rethrows the first exception. Falls back to a
+/// serial loop when called from inside a pool worker (nested region) or
+/// when slots <= 1.
 void run_on_pool(Index slots, const std::function<void(Index)>& job);
 
 }  // namespace detail

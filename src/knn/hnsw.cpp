@@ -216,13 +216,18 @@ void HnswIndex::insert(Index node, SearchScratch& scratch) {
   }
 }
 
-void HnswIndex::speculate(Index node, Index snap_entry, Index snap_max,
-                          SearchScratch& scratch, Speculation& spec) const {
+void HnswIndex::speculate(Index node, Index g0, Index snap_entry,
+                          Index snap_max, SearchScratch& scratch,
+                          Speculation& spec) const {
   // The search and forward-selection phases of insert(), run against the
   // frozen start-of-generation graph: generation members are absent from
   // every frozen adjacency list, so the traversal only sees committed
   // nodes and is independent of the worker count and of how the
-  // generation is sliced across workers. Forward selection reads only
+  // generation is sliced across workers. The members a serial insert
+  // would already have linked — [g0, node) — join each layer's candidates
+  // directly with their exact distances, so a node can pick its own
+  // generation's points (consecutive points are often spatial neighbors,
+  // which a frozen-only search never sees). Forward selection reads only
   // the candidates and point coordinates, so it belongs here too.
   const Index level = node_level_[static_cast<std::size_t>(node)];
   Index current = snap_entry;
@@ -234,8 +239,14 @@ void HnswIndex::speculate(Index node, Index snap_entry, Index snap_max,
   for (Index l = lmin; l >= 0; --l) {
     std::vector<SearchCandidate>& candidates =
         search_layer(node, current, options_.ef_construction, l, scratch);
+    // The next layer's search starts from a frozen node, so take the
+    // seed before the members join.
     if (!candidates.empty())
       current = std::min_element(candidates.begin(), candidates.end())->node;
+    for (Index member = g0; member < node; ++member) {
+      if (node_level_[static_cast<std::size_t>(member)] >= l)
+        candidates.push_back({distance(node, member), member});
+    }
     select_neighbors(candidates, options_.max_connections,
                      spec.chosen[static_cast<std::size_t>(l)]);
   }
@@ -294,7 +305,7 @@ void HnswIndex::insert_batch(Index g0, Index g1, Index threads,
           SearchScratch& ws = worker_scratch[static_cast<std::size_t>(slot)];
           if (ws.visit_mark.empty()) ws = make_search_scratch();
           for (Index node = lo; node < hi; ++node)
-            speculate(node, snap_entry, snap_max, ws,
+            speculate(node, g0, snap_entry, snap_max, ws,
                       specs[static_cast<std::size_t>(node - g0)]);
         });
   }

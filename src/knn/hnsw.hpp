@@ -11,11 +11,17 @@
 // alone); a generation's candidate searches and forward neighbor
 // selections run on the pool against the frozen previous-generation
 // graph (per-worker scratch), then backlinks are committed serially in
-// index order. Because the generation schedule, the frozen-graph
-// searches, and the commit order never depend on the worker count, the
-// constructed graph is bitwise-identical — edge for edge — for every
-// thread count, including 1. Level draws are a pure function of the
-// point index and the seed (precomputed in one pass).
+// index order. Each node's candidates at a layer are its frozen-graph
+// search result plus the members of its own generation that precede it
+// (at that layer or above), with their exact distances: the points a
+// serial insert would already have linked. Without them, up to 256
+// consecutive — on mesh data, spatially adjacent — points never see
+// each other and true neighbors go missing. Because the generation
+// schedule, the frozen-graph searches, the member candidates and the
+// commit order never depend on the worker count, the constructed graph
+// is bitwise-identical — edge for edge — for every thread count,
+// including 1. Level draws are a pure function of the point index and
+// the seed (precomputed in one pass).
 #pragma once
 
 #include <cstdint>
@@ -32,8 +38,11 @@ namespace sgl::knn {
 struct HnswOptions {
   /// Target out-degree per layer (layer 0 allows 2·max_connections).
   Index max_connections = 16;
-  /// Beam width during construction.
-  Index ef_construction = 200;
+  /// Beam width during construction: the smallest value whose kNN graph
+  /// equals the exact scan's on every generator family's measurement
+  /// data at M = 20/50/100 and on the benchmark inputs (DESIGN.md §9).
+  /// Must be at least max_connections.
+  Index ef_construction = 64;
   /// Beam width during queries (raised automatically to k when smaller).
   Index ef_search = 64;
   std::uint64_t seed = 42;
@@ -187,10 +196,11 @@ class HnswIndex {
   /// Live-inserts `node` into the current graph (level already drawn in
   /// node_level_).
   void insert(Index node, SearchScratch& scratch) SGL_REQUIRES(build_mutex_);
-  /// Runs `node`'s candidate searches against the frozen graph and
-  /// selects its forward neighbors from them into `spec` (the
+  /// Runs `node`'s candidate searches against the frozen graph, adds the
+  /// earlier members of its generation [g0, node) as exact candidates,
+  /// and selects its forward neighbors into `spec` (the
   /// generation-batched parallel phase).
-  void speculate(Index node, Index snap_entry, Index snap_max,
+  void speculate(Index node, Index g0, Index snap_entry, Index snap_max,
                  SearchScratch& scratch, Speculation& spec) const;
   /// Links one batched insert in serial index order from its recorded
   /// forward lists (backlinks, shrink, entry update) — the same link

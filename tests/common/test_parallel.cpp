@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/mutex.hpp"
@@ -189,14 +190,21 @@ TEST(Mutex, TryLockReportsContention) {
     return;
   }
   // Same-thread try_lock on a held std::mutex is UB, so probe from a
-  // pool worker instead: it must see the mutex held.
+  // pool worker instead: it must see the mutex held. Slot 0 (the caller)
+  // waits for the probe, since a slot still queued when slot 0 returns
+  // would run on the caller.
   bool acquired_elsewhere = false;
+  std::atomic<bool> probed{false};
   detail::run_on_pool(2, [&](Index slot) {
     if (slot == 1) {
       if (mutex.try_lock()) {
         acquired_elsewhere = true;
         mutex.unlock();
       }
+      probed.store(true, std::memory_order_release);
+    } else {
+      while (!probed.load(std::memory_order_acquire))
+        std::this_thread::yield();
     }
   });
   EXPECT_FALSE(acquired_elsewhere);

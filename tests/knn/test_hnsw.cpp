@@ -4,8 +4,10 @@
 #include <tuple>
 
 #include "common/rng.hpp"
+#include "graph/generators.hpp"
 #include "knn/brute_force.hpp"
 #include "knn/hnsw.hpp"
+#include "measure/measurements.hpp"
 
 namespace sgl::knn {
 namespace {
@@ -179,6 +181,37 @@ TEST(Hnsw, ParallelBuildMatchesSerialEdgeForEdge) {
               << " threads=" << threads;
         }
       }
+    }
+  }
+}
+
+TEST(Hnsw, ParallelBuildMatchesSerialEdgeForEdgeOnMeshMeasurements) {
+  // Mesh measurements in node order: consecutive points are spatial
+  // neighbors, so most nodes link to earlier members of their own
+  // generation. Those member candidates depend only on the generation
+  // schedule, so the graph must still be the serial one at every
+  // thread count.
+  graph::TriMeshOptions mesh;
+  mesh.nx = 40;
+  mesh.ny = 40;
+  measure::MeasurementOptions mopt;
+  mopt.num_measurements = 20;
+  const la::DenseMatrix x =
+      measure::generate_measurements(graph::make_triangulated_mesh(mesh).graph,
+                                     mopt)
+          .voltages;
+  const Index n = x.rows();
+  const HnswIndex serial(x, {}, 1);
+  for (const Index threads : {2, 4, 8}) {
+    const HnswIndex parallel(x, {}, threads);
+    EXPECT_EQ(parallel.entry_point(), serial.entry_point());
+    ASSERT_EQ(parallel.max_level(), serial.max_level());
+    for (Index node = 0; node < n; ++node) {
+      ASSERT_EQ(parallel.level_of(node), serial.level_of(node));
+      for (Index level = 0; level <= serial.level_of(node); ++level)
+        EXPECT_EQ(parallel.links(node, level), serial.links(node, level))
+            << "node=" << node << " level=" << level
+            << " threads=" << threads;
     }
   }
 }

@@ -5,13 +5,18 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <ostream>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/sgl.hpp"
 #include "graph/components.hpp"
+#include "graph/fingerprint.hpp"
+#include "graph/generators.hpp"
 #include "knn/knn_graph.hpp"
+#include "measure/measurements.hpp"
 
 namespace sgl::knn {
 namespace {
@@ -341,6 +346,86 @@ TEST(KnnGraph, Contracts) {
   options.k = 0;
   EXPECT_THROW(build_knn_graph(x, options), ContractViolation);
 }
+
+/// One generator family at one measurement count M.
+struct FamilyCase {
+  const char* family;
+  Index measurements;
+};
+
+void PrintTo(const FamilyCase& c, std::ostream* os) {
+  *os << c.family << " M=" << c.measurements;
+}
+
+graph::Graph family_graph(const std::string& family) {
+  if (family == "grid") return graph::make_grid2d(64, 64).graph;
+  if (family == "trimesh") {
+    graph::TriMeshOptions options;
+    options.nx = 64;
+    options.ny = 64;
+    options.weight_jitter = 2.0;
+    return graph::make_triangulated_mesh(options).graph;
+  }
+  if (family == "airfoil") return graph::make_airfoil_surrogate().graph;
+  if (family == "crack") return graph::make_crack_surrogate().graph;
+  if (family == "random_geometric") {
+    Rng rng(5);
+    return graph::make_random_geometric(4000, 0.045, rng).graph;
+  }
+  SGL_EXPECTS(family == "circuit_grid", "family_graph: unknown family");
+  return graph::make_circuit_grid(64, 64, 7800, 0.5, 5.0, 11).graph;
+}
+
+class KnnExactRecall : public ::testing::TestWithParam<FamilyCase> {};
+
+TEST_P(KnnExactRecall, HnswGraphKeyEqualsExactScan) {
+  // Measurement data from every generator family: points inserted in
+  // node order are spatial neighbors of the points just before them, so
+  // a generation-batched HNSW build that searched only the frozen graph
+  // lost true neighbors here (random points hide that). The HNSW kNN
+  // graph at the default options must be the exact scan's, edge for
+  // edge and weight for weight.
+  const FamilyCase c = GetParam();
+  measure::MeasurementOptions mopt;
+  mopt.num_measurements = c.measurements;
+  const la::DenseMatrix x =
+      measure::generate_measurements(family_graph(c.family), mopt).voltages;
+  ASSERT_GT(x.rows(), 512) << "below the batched-build threshold";
+
+  KnnGraphOptions exact;
+  exact.backend = KnnBackend::kBruteForce;
+  KnnGraphOptions hnsw;
+  hnsw.backend = KnnBackend::kHnsw;
+  const graph::Graph g_exact = build_knn_graph(x, exact);
+  const graph::Graph g_hnsw = build_knn_graph(x, hnsw);
+  if (graph::graph_key(g_hnsw) == graph::graph_key(g_exact)) return;
+
+  std::set<std::pair<Index, Index>> found;
+  for (const graph::Edge& e : g_hnsw.edges()) found.insert({e.s, e.t});
+  Index missing = 0;
+  for (const graph::Edge& e : g_exact.edges())
+    missing += found.count({e.s, e.t}) == 0 ? 1 : 0;
+  ADD_FAILURE() << c.family << " M=" << c.measurements << ": " << missing
+                << " of the exact scan's " << g_exact.num_edges()
+                << " kNN edges missing, "
+                << g_hnsw.num_edges() - (g_exact.num_edges() - missing)
+                << " extra (none of either: a weight differs)";
+}
+
+std::vector<FamilyCase> family_cases() {
+  std::vector<FamilyCase> cases;
+  for (const char* family : {"grid", "trimesh", "airfoil", "crack",
+                             "random_geometric", "circuit_grid"})
+    for (const Index m : {20, 50, 100}) cases.push_back({family, m});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, KnnExactRecall, ::testing::ValuesIn(family_cases()),
+    [](const ::testing::TestParamInfo<FamilyCase>& info) {
+      return std::string(info.param.family) + "_M" +
+             std::to_string(info.param.measurements);
+    });
 
 }  // namespace
 }  // namespace sgl::knn

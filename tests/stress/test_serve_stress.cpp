@@ -329,5 +329,60 @@ TEST(ServeStress, CacheFillDoesNotBlockHitsOnOtherGraphs) {
   EXPECT_EQ(stats.cache_hits, 1);
 }
 
+TEST(ServePoolFill, SamePatternFillsFromPoolWorkersComplete) {
+  // Engine calls from parallel::parallel_for workers. Each round asks
+  // for one weight variant the 1-entry LRU has just evicted: the first
+  // caller fills it, the rest wait on the engine for that fill. When the
+  // filler is the region's caller and every pool worker is such a
+  // waiter, the fill's own pool regions have no free worker; they must
+  // finish on the caller instead of deadlocking. A hang here fails by
+  // the suite's short ctest TIMEOUT (tests/CMakeLists.txt).
+  const graph::Graph truth = grid(64, 64);
+  const Index n = truth.num_nodes();
+  constexpr int kVariants = 3;
+  std::vector<graph::Graph> variants;
+  for (int k = 0; k < kVariants; ++k) {
+    graph::Graph v = truth;
+    Rng rng(static_cast<std::uint64_t>(300 + k));
+    for (Index e = 0; e < v.num_edges(); ++e)
+      v.set_weight(e, rng.uniform(0.5, 1.5));
+    variants.push_back(std::move(v));
+  }
+  constexpr Index kQueries = 16;
+  const auto pair_of = [n](Index i) {
+    return std::pair<Index, Index>{(i * 389) % n, (i * 2711 + n / 3) % n};
+  };
+  std::vector<std::vector<Real>> expected(kVariants);
+  for (int k = 0; k < kVariants; ++k) {
+    ServeEngine fresh;
+    (void)fresh.load_graph(variants[static_cast<std::size_t>(k)]);
+    for (Index i = 0; i < kQueries; ++i) {
+      const auto [s, t] = pair_of(i);
+      expected[static_cast<std::size_t>(k)].push_back(
+          fresh.effective_resistance(s, t));
+    }
+  }
+
+  ServeOptions options;
+  options.cache_capacity = 1;
+  ServeEngine engine(options);
+  std::vector<graph::GraphKey> keys;
+  for (const graph::Graph& v : variants) keys.push_back(engine.load_graph(v));
+  constexpr int kRounds = 6;
+  for (int round = 0; round < kRounds; ++round) {
+    const int k = round % kVariants;
+    std::vector<Real> got(static_cast<std::size_t>(kQueries));
+    parallel::parallel_for(0, kQueries, 4, [&](Index i) {
+      const auto [s, t] = pair_of(i);
+      got[static_cast<std::size_t>(i)] =
+          engine.effective_resistance(s, t, keys[static_cast<std::size_t>(k)]);
+    });
+    EXPECT_EQ(got, expected[static_cast<std::size_t>(k)]) << "round " << round;
+  }
+  const ServeStats stats = engine.stats();
+  EXPECT_EQ(stats.errors, 0);
+  EXPECT_EQ(stats.cache_misses, kRounds);
+}
+
 }  // namespace
 }  // namespace sgl::serve

@@ -13,11 +13,13 @@ an improvement. Output is a Markdown table (suitable for
 $GITHUB_STEP_SUMMARY). Exit status is 0 unless --strict is given and at
 least one regression was found.
 
-The two artifacts must come from the same library_build_type (the
-`context` block Google Benchmark records): timings from a debug library
-are meaningless against a release library, so a mismatch is reported as
-a warning — and, under --strict, fails the comparison outright rather
-than gating on garbage ratios.
+The two artifacts must come from the same library_build_type and the
+same num_cpus (both in the `context` block Google Benchmark records):
+timings from a debug library are meaningless against a release library,
+and a threaded benchmark's wall time depends on the cores it ran on
+(perfbench/compare.py refuses records that mix core counts for the same
+reason). A mismatch is reported as a warning — and, under --strict,
+fails the comparison outright rather than gating on garbage ratios.
 
 --filter restricts the comparison to benchmark names matching the given
 regex (re.search semantics). CI uses it to run a BLOCKING pass over the
@@ -41,9 +43,12 @@ import re
 import sys
 
 
-def load_benchmarks(path: str, metric: str) -> tuple[dict[str, float], str]:
-    """Returns ({benchmark name: metric value}, library_build_type),
-    skipping aggregate rows."""
+def load_benchmarks(
+    path: str, metric: str
+) -> tuple[dict[str, float], str, int | None]:
+    """Returns ({benchmark name: metric value}, library_build_type,
+    num_cpus), skipping aggregate rows. num_cpus is None when the
+    context does not record it."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     out: dict[str, float] = {}
@@ -56,8 +61,10 @@ def load_benchmarks(path: str, metric: str) -> tuple[dict[str, float], str]:
         if name is None or not isinstance(value, (int, float)):
             continue
         out[name] = float(value)
-    build_type = str(doc.get("context", {}).get("library_build_type", ""))
-    return out, build_type
+    context = doc.get("context", {})
+    build_type = str(context.get("library_build_type", ""))
+    num_cpus = context.get("num_cpus")
+    return out, build_type, num_cpus if isinstance(num_cpus, int) else None
 
 
 def format_time(value: float, unit: str) -> str:
@@ -114,14 +121,20 @@ def main() -> int:
     baseline_path = args.baseline or args.baseline_file
 
     try:
-        base, base_build = load_benchmarks(baseline_path, args.metric)
-        curr, curr_build = load_benchmarks(args.current, args.metric)
+        base, base_build, base_cpus = load_benchmarks(baseline_path,
+                                                      args.metric)
+        curr, curr_build, curr_cpus = load_benchmarks(args.current,
+                                                      args.metric)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"bench_compare: cannot read input: {exc}", file=sys.stderr)
         return 0 if not args.strict else 1
 
     build_mismatch = (
         bool(base_build) and bool(curr_build) and base_build != curr_build
+    )
+    cpus_mismatch = (
+        base_cpus is not None and curr_cpus is not None
+        and base_cpus != curr_cpus
     )
 
     if args.filter is not None:
@@ -195,6 +208,16 @@ def main() -> int:
         )
         if args.strict:
             print("\n**FAIL (strict): build-type mismatch.**")
+            return 1
+
+    if cpus_mismatch:
+        print(
+            f"\n**⚠️ num_cpus mismatch: baseline ran on {base_cpus} "
+            f"CPU(s), current on {curr_cpus} — timings are not comparable. "
+            f"Recapture the baseline on a host with the same core count.**"
+        )
+        if args.strict:
+            print("\n**FAIL (strict): num_cpus mismatch.**")
             return 1
 
     if args.strict and not shared:
