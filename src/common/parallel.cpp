@@ -156,7 +156,7 @@ class ThreadPool {
   /// One queued slot task, tagged with its region so the region's
   /// caller can take it back.
   struct Task {
-    const void* region;
+    const void* region = nullptr;
     std::function<void()> run;
   };
 
